@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -19,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .algebra import get_algebra, load_algebra, validate_algebra
-from .cohomology import cohomology_dimensions, cocycle_residual, solve_primitive
+from .cohomology import (cocycle_residual, cohomology_dimensions, delta1_scalar,
+                         solve_primitive)
 from .dynamics import InertiaTensor, hamiltonian, integrate, so3_vector_representation
 from .errors import (DegenerateForm, LieDeformError, NotACocycle,
                      NotAntisymmetric, NotExact, ShapeMismatch, UpsilonPresent)
-from .phase_space import (DeformedStructure, darboux_shift, degeneracy,
+from .phase_space import (DeformedStructure, darboux_shift, decide_grid, degeneracy,
                           load_deformation, poisson_tensor)
 from .symmetry import isotropy_subalgebra
 
@@ -101,7 +101,6 @@ def resolve_structure(args, algebra) -> DeformedStructure:
     if getattr(args, "deformation", None):
         return load_deformation(args.deformation, algebra)
     if getattr(args, "xi", None):
-        from .cohomology import delta1_scalar
         return DeformedStructure(algebra, delta1_scalar(algebra, parse_vector(args.xi)))
     return DeformedStructure(algebra)
 
@@ -283,55 +282,42 @@ def parse_axis(text: str):
 
 
 def cmd_sweep(args) -> int:
-    from .cohomology import delta1_scalar
-
     algebra = resolve_algebra(args.algebra)
     base = resolve_structure(args, algebra)
     pi = parse_vector(args.pi0) if args.pi0 else np.zeros(algebra.dim)
     axes = [parse_axis(spec) for spec in args.axis]
-
-    def axis_label(kind, indices):
-        return f"{kind}_" + "_".join(str(i) for i in indices)
-
-    header = (["index"] + [axis_label(k, i) for k, i, _ in axes]
-              + ["rank", "nullity", "poisson_qq", "poisson_pp"])
     n = algebra.dim
-    rows = []
-    grid = itertools.product(*[range(len(values)) for _, _, values in axes])
-    for flat, point in enumerate(grid):
-        Theta = base.Theta.copy()
-        Upsilon = base.Upsilon.copy()
-        xi = np.zeros(n)
-        use_xi = False
-        for (kind, indices, values), idx in zip(axes, point):
-            v = values[idx]
-            if kind == "theta":
-                i, j = indices
-                Theta[i, j], Theta[j, i] = v, -v
-            elif kind == "upsilon":
-                i, j = indices
-                Upsilon[i, j], Upsilon[j, i] = v, -v
-            else:
-                xi[indices[0]] = v
-                use_xi = True
-        if use_xi:
-            Theta = Theta + delta1_scalar(algebra, xi)
-        structure = DeformedStructure(algebra, Theta, Upsilon)
-        report = degeneracy(structure, pi, rank_tol=args.rank_tol)
-        qq = pp = ""
-        if report.nullity == 0:
-            Pi = poisson_tensor(structure, pi, rank_tol=args.rank_tol)
-            if n >= 2:
-                qq, pp = _fmt(Pi[0, 1]), _fmt(Pi[n, n + 1])
-        row = [str(flat)]
-        row += [_fmt(values[idx]) for (_, _, values), idx in zip(axes, point)]
-        row += [str(report.rank), str(report.nullity), qq, pp]
-        rows.append(row)
+    for kind, indices, _ in axes:
+        if not all(0 <= i < n for i in indices) or len(set(indices)) < len(indices):
+            raise ValueError(f"{kind} axis indices {indices} must be distinct and in 0..{n - 1}")
 
+    # one column per axis, grid points in row-major order (last axis fastest)
+    columns = [g.ravel() for g in np.meshgrid(*[values for _, _, values in axes], indexing="ij")]
+    size = int(np.prod([len(values) for _, _, values in axes]))
+    Theta, Upsilon = (np.repeat(A[None], size, axis=0) for A in (base.Theta, base.Upsilon))
+    xi = np.zeros((size, n))
+    for (kind, indices, _), column in zip(axes, columns):
+        if kind == "xi":
+            xi[:, indices[0]] = column
+        else:
+            i, j = indices
+            target = Theta if kind == "theta" else Upsilon
+            target[:, i, j], target[:, j, i] = column, -column
+    if any(kind == "xi" for kind, _, _ in axes):
+        Theta = Theta + delta1_scalar(algebra, xi)
+    report = decide_grid(algebra, Theta, Upsilon, pi, rank_tol=args.rank_tol)
+
+    brackets = {flat: [_fmt(Pi[0, 1]), _fmt(Pi[n, n + 1])]
+                for flat, Pi in zip(np.flatnonzero(report.nullity == 0), report.poisson) if n >= 2}
+    header = (["index"] + [f"{kind}_" + "_".join(map(str, indices)) for kind, indices, _ in axes]
+              + ["rank", "nullity", "poisson_qq", "poisson_pp"])
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([str(flat)] + [_fmt(column[flat]) for column in columns]
+                         + [str(report.rank[flat]), str(report.nullity[flat])]
+                         + brackets.get(flat, ["", ""])
+                         for flat in range(size))
     return EXIT_OK
 
 

@@ -29,20 +29,19 @@ ADMISSION_TOL_REL = 1e-9
 EXACTNESS_TOL = 1e-9
 
 
-def admission_tol(algebra: LieAlgebra, Theta) -> float:
-    """Cocycle admission tolerance: absolute on integer-valued data, else relative."""
+def admission_tol(algebra: LieAlgebra, Theta):
+    """Cocycle admission tolerance, absolute on integer-valued data, else relative; one per point."""
     Theta = np.asarray(Theta, float)
-    integral = (np.max(np.abs(algebra.f - np.round(algebra.f)), initial=0.0) == 0.0
-                and np.max(np.abs(Theta - np.round(Theta)), initial=0.0) == 0.0)
-    if integral:
-        return ADMISSION_TOL_ABS
-    scale = max(np.max(np.abs(Theta), initial=0.0), 1.0) * max(np.max(np.abs(algebra.f), initial=0.0), 1.0)
-    return ADMISSION_TOL_REL * scale
+    integral = ((np.max(np.abs(algebra.f - np.round(algebra.f)), initial=0.0) == 0.0)
+                & (np.max(np.abs(Theta - np.round(Theta)), axis=(-2, -1), initial=0.0) == 0.0))
+    scale = (np.maximum(np.max(np.abs(Theta), axis=(-2, -1), initial=0.0), 1.0)
+             * max(np.max(np.abs(algebra.f), initial=0.0), 1.0))
+    return np.where(integral, ADMISSION_TOL_ABS, ADMISSION_TOL_REL * scale)[()]
 
 
 def delta1_scalar(algebra: LieAlgebra, xi) -> np.ndarray:
-    """Coboundary of a dual-space element: Theta_{ab} = -xi_m f[m][a][b]."""
-    return -np.einsum('m,mab->ab', np.asarray(xi, float), algebra.f)
+    """Coboundary of a dual-space element, Theta_{ab} = -xi_m f[m][a][b]; per point of a stack."""
+    return -np.einsum('...m,mab->...ab', np.asarray(xi, float), algebra.f)
 
 
 def delta1_vector(algebra: LieAlgebra, theta) -> np.ndarray:
@@ -57,18 +56,18 @@ def delta1_vector(algebra: LieAlgebra, theta) -> np.ndarray:
 
 
 def delta2(algebra: LieAlgebra, Theta, tol: float = 1e-12) -> np.ndarray:
-    """Degree-two coboundary of an antisymmetric scalar 2-cochain, indexed [a][b][c]."""
+    """Degree-two coboundary of an antisymmetric scalar 2-cochain, indexed [...][a][b][c]."""
     Theta = np.asarray(Theta, float)
-    if np.max(np.abs(Theta + Theta.T), initial=0.0) > tol:
+    if np.max(np.abs(Theta + np.swapaxes(Theta, -1, -2)), initial=0.0) > tol:
         raise NotAntisymmetric("Theta must be antisymmetric")
-    return (-np.einsum('kc,kab->abc', Theta, algebra.f)
-            + np.einsum('kb,kac->abc', Theta, algebra.f)
-            - np.einsum('ka,kbc->abc', Theta, algebra.f))
+    return (-np.einsum('...kc,kab->...abc', Theta, algebra.f)
+            + np.einsum('...kb,kac->...abc', Theta, algebra.f)
+            - np.einsum('...ka,kbc->...abc', Theta, algebra.f))
 
 
-def cocycle_residual(algebra: LieAlgebra, Theta) -> float:
-    """Max-entry norm of delta2(Theta)."""
-    return float(np.max(np.abs(delta2(algebra, Theta))))
+def cocycle_residual(algebra: LieAlgebra, Theta):
+    """Max-entry norm of delta2(Theta): a float, or one per point of a stack."""
+    return np.max(np.abs(delta2(algebra, Theta)), axis=(-3, -2, -1))
 
 
 def is_symplectic_cocycle(algebra: LieAlgebra, theta, tol: float | None = None) -> bool:

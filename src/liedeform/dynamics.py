@@ -9,7 +9,7 @@ With Theta = Upsilon = 0 on so(3) this is classical Euler, pidot = pi x (I_inv p
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import polar
@@ -230,7 +230,9 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
     times = dt * np.arange(steps + 1)
 
     def rhs(p):
-        return np.cross(p, inertia.I_inv @ p)
+        # np.cross(p, w) written out: the same roundings, without its per-call overhead
+        (p0, p1, p2), (w0, w1, w2) = p.tolist(), (inertia.I_inv @ p).tolist()
+        return np.array([p1 * w2 - p2 * w1, p2 * w0 - p0 * w2, p0 * w1 - p1 * w0])
 
     extra = dict(extra_monitors or {})
     pis = [pi.copy()]

@@ -12,25 +12,55 @@ nullity of M equals the nullity of I + Upsilon C(pi).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LieAlgebra
-from .cohomology import admission_tol, cocycle_residual, delta1_scalar, solve_primitive
+from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, admission_tol, cocycle_residual,
+                         delta1_scalar, solve_primitive)
 from .errors import DegenerateForm, NotACocycle, NotAntisymmetric, UpsilonPresent
 
 #: singular values below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-10
 
 
-def _check_antisymmetric(name: str, A, tol: float = 1e-12):
-    A = np.asarray(A, float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotAntisymmetric(f"{name} must be square, got shape {A.shape}")
-    if np.max(np.abs(A + A.T), initial=0.0) > tol:
+def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: float = 1e-12):
+    """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error."""
+    n = algebra.dim
+    for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise NotAntisymmetric(f"{name} must be square, got shape {A.shape[1:]}")
+    if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
+        raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
+    pair = np.stack((Theta, Upsilon), axis=1)
+    asymmetric = np.max(np.abs(pair + pair.swapaxes(2, 3)), axis=(2, 3), initial=0.0) > tol
+    first = np.argmax(np.append(asymmetric.any(axis=1), True))  # first asymmetric point, or G
+    res = cocycle_residual(algebra, Theta[:first])
+    # no admission tolerance lies below the smaller constant: only points above it can fail
+    suspect = np.flatnonzero(res > min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL))
+    failing = suspect[res[suspect] > admission_tol(algebra, Theta[suspect])] if suspect.size else suspect
+    if failing.size:
+        g = failing[0]
+        raise NotACocycle(f"Theta is not a two-cocycle: residual {res[g]:.3e} > "
+                          f"{admission_tol(algebra, Theta[g]):.3e}")
+    if first < len(Theta):
+        name = ("Theta", "Upsilon")[np.argmax(asymmetric[first])]
         raise NotAntisymmetric(f"{name} fails antisymmetry at {tol:.1e}")
-    return A
+
+
+def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
+    """M = [[C, I], [-I, Upsilon]] from (..., N, N) blocks."""
+    n, eye = C.shape[-1], np.eye(C.shape[-1])
+    M = np.empty(C.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:] = C, eye, -eye, Upsilon
+    return M
+
+
+def _rank(s: np.ndarray, rank_tol: float):
+    """Singular values above rank_tol * sigma_max (rank_tol when sigma_max = 0), per row of s."""
+    smax = s[..., :1]
+    return np.sum(s > np.where(smax > 0, rank_tol * smax, rank_tol), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -45,15 +75,7 @@ class DeformedStructure:
         n = self.algebra.dim
         Theta = np.zeros((n, n)) if self.Theta is None else np.asarray(self.Theta, float)
         Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.asarray(self.Upsilon, float)
-        Theta = _check_antisymmetric("Theta", Theta)
-        Upsilon = _check_antisymmetric("Upsilon", Upsilon)
-        if Theta.shape != (n, n) or Upsilon.shape != (n, n):
-            raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
-        res = cocycle_residual(self.algebra, Theta)
-        tol = admission_tol(self.algebra, Theta)
-        if res > tol:
-            raise NotACocycle(
-                f"Theta is not a two-cocycle: residual {res:.3e} > {tol:.3e}")
+        _admit(self.algebra, Theta[None], Upsilon[None])
         Theta.setflags(write=False)
         Upsilon.setflags(write=False)
         object.__setattr__(self, 'Theta', Theta)
@@ -67,10 +89,7 @@ def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:
 
 def omega_matrix(structure: DeformedStructure, pi) -> np.ndarray:
     """Coefficient matrix of the deformed two-form at body momentum pi."""
-    n = structure.algebra.dim
-    eye = np.eye(n)
-    C = lie_poisson_block(structure, pi)
-    return np.block([[C, eye], [-eye, structure.Upsilon]])
+    return _omega_blocks(lie_poisson_block(structure, pi), structure.Upsilon)
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,7 @@ def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> 
     """Rank, nullity and kernel basis of the two-form matrix via SVD."""
     M = omega_matrix(structure, pi)
     _, s, vt = np.linalg.svd(M)
-    cutoff = rank_tol * s[0] if s[0] > 0 else rank_tol
-    rank = int(np.sum(s > cutoff))
+    rank = int(_rank(s, rank_tol))
     kernel = vt[rank:].T
     return DegeneracyReport(rank=rank, nullity=M.shape[0] - rank, kernel=kernel)
 
@@ -99,6 +117,31 @@ def poisson_tensor(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL)
             kernel=report.kernel)
     Pi = np.linalg.inv(omega_matrix(structure, pi))
     return 0.5 * (Pi - Pi.T)
+
+
+@dataclass(frozen=True)
+class GridReport:
+    rank: np.ndarray     # (G,)
+    nullity: np.ndarray  # (G,)
+    poisson: np.ndarray  # (points with nullity 0, 2N, 2N), in grid order
+
+
+def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi,
+                rank_tol: float = RANK_TOL) -> GridReport:
+    """Admit (G, N, N) stacks of Theta and Upsilon and decide every point at momentum pi.
+
+    Point by point the checks and results of DeformedStructure, degeneracy and
+    poisson_tensor, from one stacked SVD and one stacked inverse.
+    """
+    Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
+    _admit(algebra, Theta, Upsilon)
+    C = np.einsum('m,mab->ab', np.asarray(pi, float), algebra.f) + Theta
+    M = _omega_blocks(C, Upsilon)
+    _, s, _ = np.linalg.svd(M)
+    rank = _rank(s, rank_tol)
+    Pi = np.linalg.inv(M[rank == M.shape[-1]])
+    return GridReport(rank=rank, nullity=M.shape[-1] - rank,
+                      poisson=0.5 * (Pi - Pi.transpose(0, 2, 1)))
 
 
 def closedness_residual(structure: DeformedStructure) -> float:

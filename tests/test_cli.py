@@ -238,10 +238,28 @@ class TestSweep:
         assert len(rows) == 11
         assert all(r["nullity"] == "0" for r in rows)
 
-    def test_bad_axis_exit_2(self, tmp_path):
+    def test_bad_axis_exit_2(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run(["sweep", "--algebra", "abelian2",
                     "--axis", "bogus:0,1=0:1:2", "--output", out]) == 2
+        # indices out of range (also negative ones) and a repeated pair index
+        for axis in ("theta:0,5=0:1:2", "xi:7=0:1:2", "upsilon:0,-1=0:1:2", "theta:1,1=0:1:2"):
+            capsys.readouterr()
+            assert run(["sweep", "--algebra", "so3", "--axis", axis, "--output", out]) == 2
+            assert "must be distinct and in 0..2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_non_cocycle_exit_2(self, tmp_path, capsys):
+        f = np.zeros((4, 4, 4))
+        f[:3, :3, :3] = so3().f
+        spec = tmp_path / "so3r.json"
+        spec.write_text(json.dumps({"name": "so3+R", "dim": 4, "f": f.tolist()}))
+        out = tmp_path / "grid.csv"
+        assert run(["sweep", "--algebra", spec, "--axis", "theta:0,3=-1:1:3",
+                    "--output", out]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: Theta is not a two-cocycle: residual 1.000e+00 > 1.000e-12")
+        assert not out.exists()
 
 
 class TestReportRoundTrip:

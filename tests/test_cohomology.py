@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform.algebra import LieAlgebra, abelian, heisenberg, sl2r, so3
-from liedeform.cohomology import (cohomology_dimensions, cocycle_residual,
+from liedeform.cohomology import (admission_tol, cohomology_dimensions, cocycle_residual,
                                   delta1_scalar, delta1_vector, delta2,
                                   is_symplectic_cocycle, solve_primitive)
 from liedeform.errors import NotACocycle, NotAntisymmetric, NotExact
@@ -121,6 +121,22 @@ class TestDelta2:
         Theta = np.zeros((4, 4))
         Theta[2, 3], Theta[3, 2] = 1.0, -1.0
         assert cocycle_residual(so3_plus_center(), Theta) == 1.0
+
+
+class TestBatchAxis:
+    def test_stack_matches_each_point(self, registry, rng):
+        for algebra in registry + [so3_plus_center()]:
+            n = algebra.dim
+            Theta = np.array([random_antisymmetric(rng, n) for _ in range(8)])
+            Theta[::3] = np.round(Theta[::3])      # integral points: absolute tolerance
+            res, tol = cocycle_residual(algebra, Theta), admission_tol(algebra, Theta)
+            assert res.shape == tol.shape == (8,)
+            for T, r, t in zip(Theta, res, tol):
+                assert r == cocycle_residual(algebra, T)
+                assert t == admission_tol(algebra, T)
+            assert np.array_equal(delta2(algebra, Theta[3]), delta2(algebra, Theta)[3])
+            xi = rng.normal(size=(5, n))
+            assert np.array_equal(delta1_scalar(algebra, xi)[4], delta1_scalar(algebra, xi[4]))
 
 
 class TestIsSymplecticCocycle:

@@ -3,7 +3,7 @@ import pytest
 
 from liedeform.algebra import abelian, so3
 from liedeform.cohomology import delta1_scalar
-from liedeform.dynamics import (InertiaTensor, euler_reference, hamiltonian,
+from liedeform.dynamics import (InertiaTensor, _rk4_step, euler_reference, hamiltonian,
                                 hamiltonian_vector_field, integrate,
                                 so3_vector_representation)
 from liedeform.errors import DegenerateForm, StepRejected
@@ -212,3 +212,14 @@ class TestEulerReference:
     def test_requires_three_dims(self):
         with pytest.raises(ValueError):
             euler_reference(InertiaTensor.identity(2), [1.0, 0.0], T=1.0, dt=0.1)
+
+    def test_bitwise_equal_to_np_cross_form(self, rng):
+        # the written-out cross product keeps np.cross's roundings, signed zeros included
+        for case in range(20):
+            inertia = InertiaTensor.diagonal(rng.uniform(0.2, 5.0, size=3))
+            pi = rng.normal(size=3) * np.exp(rng.normal(scale=1.5))
+            pi[case % 3] = -0.0 if case % 2 else 0.0
+            traj = euler_reference(inertia, pi, T=0.05, dt=1e-3)
+            for k in range(50):
+                pi = _rk4_step(lambda p: np.cross(p, inertia.I_inv @ p), pi, 1e-3)
+                assert traj.pis[k + 1].tobytes() == pi.tobytes()

@@ -6,7 +6,7 @@ from liedeform.cohomology import delta1_scalar
 from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
                               NotExact, UpsilonPresent)
 from liedeform.phase_space import (DeformedStructure, closedness_residual,
-                                   darboux_shift, degeneracy,
+                                   darboux_shift, decide_grid, degeneracy,
                                    lie_poisson_block, load_deformation,
                                    omega_matrix, poisson_tensor)
 
@@ -40,6 +40,13 @@ class TestStructureAdmission:
         Theta = np.zeros((4, 4))
         Theta[2, 3], Theta[3, 2] = 1.0, -1.0
         with pytest.raises(NotACocycle):
+            DeformedStructure(so3_plus_center(), Theta, np.zeros((4, 4)))
+
+    def test_rejects_small_non_cocycle_at_relative_tolerance(self):
+        from test_cohomology import so3_plus_center
+        Theta = np.zeros((4, 4))
+        Theta[2, 3], Theta[3, 2] = 1e-6, -1e-6
+        with pytest.raises(NotACocycle, match=r"residual 1\.000e-06 > 1\.000e-09"):
             DeformedStructure(so3_plus_center(), Theta, np.zeros((4, 4)))
 
     def test_defaults_to_undeformed(self):
@@ -162,6 +169,57 @@ class TestPoissonTensor:
                 Pi = poisson_tensor(S, pi)
                 assert np.max(np.abs(Pi @ omega_matrix(S, pi) - np.eye(2 * n))) < 1e-10
                 assert np.array_equal(Pi, -Pi.T)
+
+
+class TestDecideGrid:
+    def test_matches_pointwise_loop(self, registry, rng):
+        # the per-point loop is the reference: equal verdicts, bitwise equal tensors
+        for algebra in registry:
+            n = algebra.dim
+            Theta = np.array([delta1_scalar(algebra, rng.normal(size=n)) for _ in range(40)])
+            Upsilon = np.array([0.3 * random_antisymmetric(rng, n) for _ in range(40)])
+            Theta[::4] = 0.0
+            pi = rng.normal(size=n)
+            grid = decide_grid(algebra, Theta, Upsilon, pi)
+            poisson = iter(grid.poisson)
+            for T, U, rank, nullity in zip(Theta, Upsilon, grid.rank, grid.nullity):
+                S = DeformedStructure(algebra, T, U)
+                report = degeneracy(S, pi)
+                assert (rank, nullity) == (report.rank, report.nullity)
+                if nullity == 0:
+                    assert np.array_equal(next(poisson), poisson_tensor(S, pi))
+            assert next(poisson, None) is None
+
+    def test_degenerate_points_and_rank_tol(self):
+        F = np.array([0.5, 1.0, 2.0, 1.5])
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        Theta, Upsilon = F[:, None, None] * J, (1.0 / F)[:, None, None] * J
+        Upsilon[3] *= 0.9
+        grid = decide_grid(abelian(2), Theta, Upsilon, np.zeros(2))
+        assert grid.nullity.tolist() == [2, 2, 2, 0]
+        assert grid.poisson.shape == (1, 4, 4)
+        coarse = decide_grid(abelian(2), Theta, Upsilon, np.zeros(2), rank_tol=0.2)
+        assert coarse.nullity.tolist() == [2, 2, 2, 2]
+        assert coarse.poisson.shape == (0, 4, 4)
+
+    def test_empty_grid(self):
+        grid = decide_grid(so3(), np.zeros((0, 3, 3)), np.zeros((0, 3, 3)), np.zeros(3))
+        assert grid.rank.shape == grid.nullity.shape == (0,)
+        assert grid.poisson.shape == (0, 6, 6)
+
+    @pytest.mark.parametrize("bad_cocycle, bad_asymmetry", [(2, 4), (4, 1), (3, 3)])
+    def test_first_failing_point_raises_its_own_error(self, bad_cocycle, bad_asymmetry):
+        from test_cohomology import so3_plus_center
+        algebra = so3_plus_center()
+        Theta, Upsilon = np.zeros((6, 4, 4)), np.zeros((6, 4, 4))
+        Theta[bad_cocycle, 2, 3], Theta[bad_cocycle, 3, 2] = 0.25, -0.25
+        Upsilon[bad_asymmetry, 0, 1] = 1.0
+        first = min(bad_cocycle, bad_asymmetry)
+        with pytest.raises((NotACocycle, NotAntisymmetric)) as pointwise:
+            DeformedStructure(algebra, Theta[first], Upsilon[first])
+        with pytest.raises(type(pointwise.value)) as stacked:
+            decide_grid(algebra, Theta, Upsilon, np.zeros(4))
+        assert str(stacked.value) == str(pointwise.value)
 
 
 class TestClosedness:
