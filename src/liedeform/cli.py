@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -348,21 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check bracket axioms of an algebra")
     common(p, deformation=False)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("cohomology", help="cocycle residual, exactness, cohomology dims")
     common(p)
-    p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("omega", help="two-form matrix analysis at a phase point")
     common(p)
     p.add_argument("--pi", help="body momentum, comma separated (default zeros)")
-    p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("isotropy", help="residual-symmetry subalgebra")
     common(p)
     p.add_argument("--inertia", help="optional inertia: identity, diag:..., or file")
-    p.set_defaults(func=cmd_isotropy)
 
     p = sub.add_parser("simulate", help="integrate the Euler-type flow")
     common(p)
@@ -373,26 +370,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True, help="time step")
     p.add_argument("--rep", help="matrix representation: 'so3' or a JSON generator stack")
     p.add_argument("--summary", help="JSON summary file (default: stdout)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="grid sweep of deformation entries")
     common(p)
     p.add_argument("--axis", action="append", default=[],
                    help="kind:i[,j]=start:stop:num with kind theta|upsilon|xi; repeatable")
     p.add_argument("--pi0", help="body momentum at which to evaluate (default zeros)")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: main may run many times in one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "simulate" and not args.output:
         parser.error("simulate requires --output for the trajectory CSV")
     if args.command == "sweep" and not args.output:
         parser.error("sweep requires --output for the grid CSV")
     try:
-        return args.func(args)
+        # looked up per call, not bound into the cached parser: a patched cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

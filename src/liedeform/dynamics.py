@@ -59,9 +59,8 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
     pi = np.asarray(pi, float)
     C = lie_poisson_block(structure, pi)
     velocity = inertia.I_inv @ pi
-    if np.max(np.abs(structure.Upsilon), initial=0.0) == 0.0:
-        pidot = -C @ velocity
-        return velocity, pidot
+    if structure.upsilon_zero:
+        return velocity, -C @ velocity
     n = structure.algebra.dim
     K = np.eye(n) + C @ structure.Upsilon
     s = np.linalg.svd(K, compute_uv=False)
@@ -98,7 +97,7 @@ def _casimir_monitor(structure: DeformedStructure):
     algebra = structure.algebra
     if not is_semisimple(algebra):
         return None
-    if np.max(np.abs(structure.Upsilon), initial=0.0) != 0.0:
+    if not structure.upsilon_zero:
         return None
     try:
         xi, _, _ = solve_primitive(algebra, structure.Theta)
@@ -130,93 +129,66 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     (with g0 defaulting to the identity), the group element is reconstructed
     from dg/dt = g rho(eta) with per-step polar reprojection.
 
+    RK4 steps one flat state y: pi alone, or pi followed by g raveled, whose
+    time derivative is (pidot, g rho(eta)) with rho(eta) = eta_i rho(e_i).
+    Each kept state is one row of a preallocated array; the energy, Casimir and
+    ``extra_monitors`` channels are evaluated on those rows after the run.
+
     A mid-run degeneracy returns the partial trajectory with
     ``degenerate_at`` set; non-finite states raise StepRejected.
     """
-    pi = np.asarray(pi0, dtype=float).copy()
+    pi0 = np.asarray(pi0, dtype=float)
+    n = pi0.size
     steps = int(round(T / dt))
     times = dt * np.arange(steps + 1)
 
-    reconstruct = rep is not None
-    if reconstruct:
+    if rep is None:
+        y = pi0.copy()
+
+        def rhs(y):
+            return hamiltonian_vector_field(structure, inertia, y)[1]
+    else:
         rep = np.asarray(rep, dtype=float)
-        g = np.eye(rep.shape[1]) if g0 is None else np.asarray(g0, dtype=float).copy()
+        d = rep.shape[1]
+        rep_flat = rep.reshape(len(rep), d * d)
+        g = np.eye(d) if g0 is None else np.asarray(g0, dtype=float)
+        y = np.concatenate([pi0, g.ravel()])
 
-    extra = dict(extra_monitors or {})
-    casimir = _casimir_monitor(structure)
+        def rhs(y):
+            eta, pidot = hamiltonian_vector_field(structure, inertia, y[:n])
+            gdot = y[n:].reshape(d, d) @ (eta @ rep_flat).reshape(d, d)
+            return np.concatenate([pidot, gdot.ravel()])
 
-    def sample_monitors(pi):
-        row = {"energy": hamiltonian(inertia, pi)}
-        if casimir is not None:
-            row["casimir"] = casimir(pi)
-        for name, vec in extra.items():
-            row[name] = float(np.dot(vec, pi))
-        return row
-
-    def pi_rhs(p):
-        _, pidot = hamiltonian_vector_field(structure, inertia, p)
-        return pidot
-
-    pis = [pi.copy()]
-    gs = [g.copy()] if reconstruct else None
-    channels = {k: [v] for k, v in sample_monitors(pi).items()}
-    degenerate_at = None
-
+    rows = np.empty((max(steps, 0) + 1, y.size))
+    rows[0] = y
+    kept, degenerate_at = 1, None
     for k in range(steps):
         try:
-            if reconstruct:
-                def pair_rhs(state):
-                    p, gg = state
-                    eta, pidot = hamiltonian_vector_field(structure, inertia, p)
-                    gen = np.einsum('i,ijk->jk', eta, rep)
-                    return _PairState(pidot, gg @ gen)
-                new = _rk4_step(pair_rhs, _PairState(pi, g), dt)
-                pi, g = new.pi, new.g
-                u, _ = polar(g)  # reproject onto the constraint surface
-                g = u
-            else:
-                pi = _rk4_step(pi_rhs, pi, dt)
+            y = _rk4_step(rhs, y, dt)
         except DegenerateForm:
             degenerate_at = float(times[k])
             break
-        if not np.all(np.isfinite(pi)):
+        if rep is not None:
+            y[n:] = polar(y[n:].reshape(d, d))[0].ravel()  # reproject onto the constraint surface
+        if not np.isfinite(y[:n]).all():
             raise StepRejected(f"non-finite momentum at t = {times[k + 1]:.6g}")
-        pis.append(pi.copy())
-        if reconstruct:
-            gs.append(g.copy())
-        for name, value in sample_monitors(pi).items():
-            channels[name].append(value)
+        rows[kept] = y
+        kept += 1
 
-    n_kept = len(pis)
+    pis = rows[:kept, :n]
+    monitors = {"energy": np.array([hamiltonian(inertia, p) for p in pis])}
+    casimir = _casimir_monitor(structure)
+    if casimir is not None:
+        monitors["casimir"] = np.array([casimir(p) for p in pis])
+    for name, vec in (extra_monitors or {}).items():
+        monitors[name] = np.array([float(np.dot(vec, p)) for p in pis])
     return Trajectory(
-        times=times[:n_kept],
-        pis=np.array(pis),
-        monitors={k: np.array(v) for k, v in channels.items()},
-        gs=np.array(gs) if reconstruct else None,
+        times=times[:kept],
+        pis=pis,
+        monitors=monitors,
+        gs=None if rep is None else rows[:kept, n:].reshape(kept, d, d),
         degenerate_at=degenerate_at,
     )
-
-
-class _PairState:
-    """Momentum plus group element, with the arithmetic RK4 needs."""
-
-    __slots__ = ("pi", "g")
-
-    def __init__(self, pi, g):
-        self.pi = pi
-        self.g = g
-
-    def __iter__(self):
-        return iter((self.pi, self.g))
-
-    def __add__(self, other):
-        return _PairState(self.pi + other.pi, self.g + other.g)
-
-    def __rmul__(self, scalar):
-        return _PairState(scalar * self.pi, scalar * self.g)
-
-    def __mul__(self, scalar):
-        return self.__rmul__(scalar)
 
 
 def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,

@@ -12,7 +12,7 @@ nullity of M equals the nullity of I + Upsilon C(pi).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,26 +65,36 @@ def _rank(s: np.ndarray, rank_tol: float):
 
 @dataclass(frozen=True)
 class DeformedStructure:
-    """A Lie algebra together with admitted deformations Theta and Upsilon."""
+    """A Lie algebra together with admitted deformations Theta and Upsilon.
+
+    Theta and Upsilon are read-only copies of the caller's arrays.  What depends
+    only on the structure is computed once: ``upsilon_zero`` (Upsilon has no
+    nonzero entry) and ``f`` flattened to N x N*N, so that C(pi) is one matmul.
+    """
 
     algebra: LieAlgebra
     Theta: np.ndarray = None
     Upsilon: np.ndarray = None
+    upsilon_zero: bool = field(init=False)
+    _f_flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.algebra.dim
-        Theta = np.zeros((n, n)) if self.Theta is None else np.asarray(self.Theta, float)
-        Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.asarray(self.Upsilon, float)
+        Theta = np.zeros((n, n)) if self.Theta is None else np.array(self.Theta, float)
+        Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.array(self.Upsilon, float)
         _admit(self.algebra, Theta[None], Upsilon[None])
         Theta.setflags(write=False)
         Upsilon.setflags(write=False)
         object.__setattr__(self, 'Theta', Theta)
         object.__setattr__(self, 'Upsilon', Upsilon)
+        object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
+        object.__setattr__(self, '_f_flat', self.algebra.f.reshape(n, n * n))
 
 
 def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:
     """Top-left block C(pi) = pi_m f[m] + Theta."""
-    return np.einsum('m,mab->ab', np.asarray(pi, float), structure.algebra.f) + structure.Theta
+    n = structure.algebra.dim
+    return (np.asarray(pi, float) @ structure._f_flat).reshape(n, n) + structure.Theta
 
 
 def omega_matrix(structure: DeformedStructure, pi) -> np.ndarray:
@@ -159,7 +169,7 @@ def darboux_shift(structure: DeformedStructure, pi):
     Requires Upsilon = 0.  After the shift the Lie-Poisson block satisfies
     C_Theta(pi) = C_0(pi - xi) entrywise.
     """
-    if np.max(np.abs(structure.Upsilon), initial=0.0) != 0.0:
+    if not structure.upsilon_zero:
         raise UpsilonPresent("Darboux shift applies only with Upsilon = 0")
     xi, _, _ = solve_primitive(structure.algebra, structure.Theta)
     return np.asarray(pi, float) - xi, xi

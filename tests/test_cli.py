@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import liedeform
 from liedeform.algebra import so3
+from liedeform import cli
 from liedeform.cli import main, parse_axis
 
 
@@ -260,6 +265,34 @@ class TestSweep:
         assert capsys.readouterr().err.strip() == (
             "error: Theta is not a two-cocycle: residual 1.000e+00 > 1.000e-12")
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_repeated_sweeps_match_separate_runs(self, tmp_path):
+        # main reuses one parser; axes must not leak between calls through the append default
+        sweeps = [["sweep", "--algebra", "so3", "--axis", "xi:0=-1:1:3", "--axis", "xi:2=0:1:2"],
+                  ["sweep", "--algebra", "so3", "--axis", "upsilon:1,2=-2:2:5"]]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(liedeform.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        separate = []
+        for k, argv in enumerate(sweeps):
+            out = tmp_path / f"separate{k}.csv"
+            subprocess.run([sys.executable, "-m", "liedeform.cli", *argv, "-o", str(out)],
+                           check=True, env=env)
+            separate.append(out.read_bytes())
+        with pytest.raises(SystemExit):
+            main(["sweep", "--algebra", "so3", "--axis", "xi:1=0:1:2", "--bogus"])
+        for k, argv in enumerate(sweeps):
+            out = tmp_path / f"in_process{k}.csv"
+            assert run(argv + ["-o", out]) == 0
+            assert out.read_bytes() == separate[k]
+
+    def test_dispatch_reads_the_module_binding(self, monkeypatch, tmp_path):
+        # the parser is built once; a cmd_* patched (or traced) later must still be the one run
+        assert run(["validate", "--algebra", "so3", "-o", tmp_path / "v.json"]) == 0
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+        assert run(["validate", "--algebra", "so3"]) == 7
 
 
 class TestReportRoundTrip:

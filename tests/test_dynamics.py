@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import polar
 
-from liedeform.algebra import abelian, so3
+from liedeform import dynamics
+from liedeform.algebra import LieAlgebra, abelian, ad_matrix, sl2r, so3
 from liedeform.cohomology import delta1_scalar
 from liedeform.dynamics import (InertiaTensor, _rk4_step, euler_reference, hamiltonian,
                                 hamiltonian_vector_field, integrate,
@@ -197,6 +199,114 @@ class TestIntegrate:
         assert len(traj.times) == 4
         for channel in traj.monitors.values():
             assert len(channel) == 4
+
+
+def reference_integrate(structure, inertia, pi0, steps, dt, rep=None):
+    """RK4 written the way integrate stepped before its flat state.
+
+    C(pi) by einsum, the Upsilon = 0 test on max |Upsilon|, pi and g stepped as
+    separate RK4 sums, then polar reprojection of g.  Returns (pis, gs).
+    """
+    f, Theta, U = structure.algebra.f, structure.Theta, structure.Upsilon
+    n = len(f)
+
+    def field(p):
+        C = np.einsum('m,mab->ab', p, f) + Theta
+        v = inertia.I_inv @ p
+        if np.max(np.abs(U), initial=0.0) == 0.0:
+            return v, -C @ v
+        pidot = np.linalg.solve(np.eye(n) + C @ U, -C @ v)
+        return v + U @ pidot, pidot
+
+    def stage(p, g):
+        eta, pidot = field(p)
+        return pidot, g @ np.einsum('i,ijk->jk', eta, rep)
+
+    pi = np.asarray(pi0, float)
+    g = None if rep is None else np.eye(rep.shape[1])
+    pis, gs = [pi], [g]
+    for _ in range(steps):
+        if rep is None:
+            pi = _rk4_step(lambda p: field(p)[1], pi, dt)
+        else:
+            k1 = stage(pi, g)
+            k2 = stage(pi + 0.5 * dt * k1[0], g + 0.5 * dt * k1[1])
+            k3 = stage(pi + 0.5 * dt * k2[0], g + 0.5 * dt * k2[1])
+            k4 = stage(pi + dt * k3[0], g + dt * k3[1])
+            pi = pi + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            g = polar(g + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))[0]
+        pis.append(pi)
+        gs.append(g)
+    return np.array(pis), None if rep is None else np.array(gs)
+
+
+def adjoint_representation(algebra):
+    return np.array([ad_matrix(algebra, e) for e in np.eye(algebra.dim)])
+
+
+def conjugated(algebra, P):
+    """The same algebra in the basis e'_a = P[d, a] e_d."""
+    f = np.einsum('mc,cde,da,eb->mab', np.linalg.inv(P), algebra.f, P, P)
+    return LieAlgebra.from_structure_constants(algebra.name + "'", f)
+
+
+def random_case(algebra, rng, with_upsilon):
+    n = algebra.dim
+    Upsilon = 0.3 * (lambda A: A - A.T)(rng.normal(size=(n, n))) if with_upsilon else None
+    structure = DeformedStructure(algebra, delta1_scalar(algebra, rng.normal(size=n)), Upsilon)
+    inertia = InertiaTensor(np.eye(n) + 0.2 * np.diag(rng.uniform(0, 1, n)))
+    return structure, inertia, rng.normal(size=n)
+
+
+class TestFlatState:
+    @pytest.mark.parametrize("with_rep", [False, True])
+    def test_four_vector_field_calls_per_step(self, monkeypatch, with_rep):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return hamiltonian_vector_field(*args)
+
+        monkeypatch.setattr(dynamics, "hamiltonian_vector_field", counted)
+        rep = so3_vector_representation() if with_rep else None
+        traj = integrate(DeformedStructure(so3()), RIGID_BODY, [1.0, 0.1, 0.0], T=0.1, dt=0.01,
+                         rep=rep)
+        assert len(traj.times) == 11
+        assert len(calls) == 4 * 10
+
+    @pytest.mark.parametrize("with_upsilon", [False, True])
+    def test_bitwise_equal_to_reference_on_registry(self, registry, rng, with_upsilon):
+        for algebra in registry:
+            structure, inertia, pi0 = random_case(algebra, rng, with_upsilon)
+            reps = [None, adjoint_representation(algebra)]
+            if algebra.name == "so3":
+                reps.append(so3_vector_representation())
+            for rep in reps:
+                traj = integrate(structure, inertia, pi0, T=0.5, dt=0.01, rep=rep)
+                assert traj.complete
+                pis, gs = reference_integrate(structure, inertia, pi0, 50, 0.01, rep)
+                assert np.ascontiguousarray(traj.pis).tobytes() == pis.tobytes()
+                if rep is None:
+                    assert traj.gs is None
+                else:
+                    assert np.ascontiguousarray(traj.gs).tobytes() == gs.tobytes()
+                energy = np.array([hamiltonian(inertia, p) for p in pis])
+                assert traj.monitors["energy"].tobytes() == energy.tobytes()
+
+    @pytest.mark.parametrize("make", [so3, sl2r])
+    @pytest.mark.parametrize("with_upsilon", [False, True])
+    def test_conjugated_basis_agrees_with_reference(self, rng, make, with_upsilon):
+        # C(pi) as one matmul sums in another order than einsum off the registry bases
+        P = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+        algebra = conjugated(make(), P)
+        structure, inertia, pi0 = random_case(algebra, rng, with_upsilon)
+        rep = adjoint_representation(algebra)
+        for r in (None, rep):
+            traj = integrate(structure, inertia, pi0, T=2.0, dt=0.01, rep=r)
+            pis, gs = reference_integrate(structure, inertia, pi0, 200, 0.01, r)
+            assert np.max(np.abs(traj.pis - pis)) <= 1e-13 * np.max(np.abs(pis))
+            if r is not None:
+                assert np.max(np.abs(traj.gs - gs)) <= 1e-13 * np.max(np.abs(gs))
 
 
 class TestEulerReference:

@@ -1,8 +1,10 @@
 """Byte-for-byte golden outputs of CLI runs on fixed inputs.
 
 Each case runs ``liedeform <argv> -o <file>`` and compares the file with
-``tests/golden/<case>.<ext>``.  Deformation specs the cases read live in the
-same directory.  After a deliberate change of output, rewrite the goldens with
+``tests/golden/<case>.<ext>``; a ``simulate`` case also compares its
+``--summary`` JSON with ``tests/golden/<case>.summary.json``.  Deformation
+specs the cases read live in the same directory.  After a deliberate change
+of output, rewrite the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,30 +44,60 @@ CASES = {
                                   "--deformation", "abelian2-degenerate.json"],
     "cohomology_heisenberg_fractional": ["cohomology", "--algebra", "heisenberg",
                                          "--deformation", "heisenberg-theta-fractional.json"],
+    "validate_sl2r": ["validate", "--algebra", "sl2r"],
+    "isotropy_sl2r_upsilon": ["isotropy", "--algebra", "sl2r", "--deformation", "sl2r-upsilon.json",
+                              "--inertia", "diag:1,2,2"],
+    # trajectories: Casimir and group reconstruction; isotropy monitors with Upsilon != 0;
+    # a non-exact Theta with Upsilon != 0; a degenerate abort with its partial CSV
+    "simulate_so3_xi_rep": ["simulate", "--algebra", "so3", "--xi", "0.1,-0.2,0.3",
+                            "--inertia", "diag:1,0.5,0.25", "--pi0", "1,0.1,-0.3",
+                            "--T", "1", "--dt", "0.025", "--rep", "so3"],
+    "simulate_sl2r_upsilon": ["simulate", "--algebra", "sl2r", "--deformation", "sl2r-upsilon.json",
+                              "--inertia", "diag:1,2,2", "--pi0", "0.3,-0.5,0.8",
+                              "--T", "2", "--dt", "0.05"],
+    "simulate_heisenberg_fractional": ["simulate", "--algebra", "heisenberg",
+                                       "--deformation", "heisenberg-theta-fractional.json",
+                                       "--inertia", "diag:1,0.5,2", "--pi0", "0.3,-0.5,0.8",
+                                       "--T", "2", "--dt", "0.05"],
+    "simulate_abelian2_degenerate": ["simulate", "--algebra", "abelian2",
+                                     "--deformation", "abelian2-degenerate.json",
+                                     "--inertia", "identity", "--pi0", "1,0", "--T", "1",
+                                     "--dt", "0.1"],
 }
+EXIT = {"simulate_abelian2_degenerate": 3}
 
 
-def golden_path(case):
-    ext = "csv" if CASES[case][0] == "sweep" else "json"
-    return os.path.join(GOLDEN, f"{case}.{ext}")
+def golden_paths(case):
+    """Golden files of a case: its -o output, then a simulate case's --summary."""
+    command = CASES[case][0]
+    paths = [os.path.join(GOLDEN, f"{case}.{'csv' if command in ('sweep', 'simulate') else 'json'}")]
+    if command == "simulate":
+        paths.append(os.path.join(GOLDEN, f"{case}.summary.json"))
+    return paths
 
 
-def run_case(case, output):
+def run_case(case, outputs):
     argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in CASES[case]]
-    return main(argv + ["-o", str(output)])
+    argv += ["-o", str(outputs[0])]
+    if len(outputs) > 1:
+        argv += ["--summary", str(outputs[1])]
+    return main(argv)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_is_byte_identical(case, tmp_path):
-    out = tmp_path / "out"
-    assert run_case(case, out) == 0
-    with open(golden_path(case), "rb") as fh:
-        expected = fh.read()
-    assert out.read_bytes() == expected
+    goldens = golden_paths(case)
+    outputs = [tmp_path / os.path.basename(path) for path in goldens]
+    assert run_case(case, outputs) == EXIT.get(case, 0)
+    for out, path in zip(outputs, goldens):
+        with open(path, "rb") as fh:
+            expected = fh.read()
+        assert out.read_bytes() == expected, os.path.basename(path)
 
 
 if __name__ == "__main__":
     for name in sorted(CASES):
-        if run_case(name, golden_path(name)) != 0:
+        paths = golden_paths(name)
+        if run_case(name, paths) != EXIT.get(name, 0):
             sys.exit(f"case {name} failed")
-        print("wrote", golden_path(name))
+        print("wrote", *paths)

@@ -54,6 +54,21 @@ class TestStructureAdmission:
         assert np.array_equal(S.Theta, np.zeros((3, 3)))
         assert np.array_equal(S.Upsilon, np.zeros((3, 3)))
 
+    def test_keeps_the_callers_arrays_writable(self):
+        Theta, Upsilon = np.zeros((3, 3)), np.zeros((3, 3))
+        S = DeformedStructure(so3(), Theta, Upsilon)
+        Theta[0, 1], Upsilon[1, 2] = 1.0, 1.0
+        assert not S.Theta.any() and not S.Upsilon.any()
+        assert S.upsilon_zero
+        with pytest.raises(ValueError, match="read-only"):
+            S.Theta[0, 1] = 1.0
+
+    def test_upsilon_zero_flag(self):
+        for entry, zero in ((0.0, True), (-0.0, True), (1e-300, False), (-2.5, False)):
+            Upsilon = np.zeros((3, 3))
+            Upsilon[0, 2], Upsilon[2, 0] = entry, -entry
+            assert DeformedStructure(so3(), None, Upsilon).upsilon_zero is zero
+
 
 class TestOmegaMatrix:
     def test_abelian_block_example(self):
