@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ShapeMismatch
 
@@ -106,6 +105,7 @@ def ad_matrix(algebra: LieAlgebra, u) -> np.ndarray:
 
 def ad_exp(algebra: LieAlgebra, u, t: float) -> np.ndarray:
     """Adjoint representation of exp(t u): the matrix exponential of t * ad_u."""
+    from scipy.linalg import expm  # imported on use: scipy stays off `import liedeform`
     return expm(t * ad_matrix(algebra, u))
 
 

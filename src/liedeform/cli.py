@@ -1,9 +1,9 @@
 """Command-line front end: validate / cohomology / omega / isotropy / simulate / sweep.
 
-Structured reports go out as JSON, trajectories and sweeps as CSV.  All
-numeric output uses 17 significant digits so that files round-trip
-bit-faithfully.  Exit codes: 0 success, 2 validation failure, 3
-degenerate-form abort.
+Structured reports go out as JSON, trajectories and sweeps as CSV.  JSON
+floats are shortest round-trip reprs and CSV cells carry 17 significant
+digits, so files round-trip bit-faithfully.  Exit codes: 0 success,
+2 validation failure, 3 degenerate-form abort.
 """
 from __future__ import annotations
 
@@ -39,21 +39,13 @@ REGISTRY_ENV = "LIEDEFORM_REGISTRY"
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _round17(obj):
-    """Recursively coerce floats through 17 significant digits (lossless for float64)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, np.floating):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
+def _jsonable(obj):
+    """json.dumps hook for numpy values; json writes floats as shortest round-trip reprs."""
     if isinstance(obj, np.ndarray):
-        return _round17(obj.tolist())
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(x) -> str:
@@ -61,7 +53,7 @@ def _fmt(x) -> str:
 
 
 def emit_report(report: dict, output: str | None):
-    text = json.dumps(_round17(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -71,7 +63,7 @@ def emit_report(report: dict, output: str | None):
 
 def input_hash(payload) -> str:
     """Stable hash over the resolved numeric inputs of a run."""
-    blob = json.dumps(_round17(payload), sort_keys=True).encode()
+    blob = json.dumps(payload, sort_keys=True, default=_jsonable).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar
 
 from .algebra import LieAlgebra, is_semisimple, killing_form, so3
 from .cohomology import solve_primitive
@@ -89,7 +88,7 @@ class Trajectory:
 
 
 def _casimir_monitor(structure: DeformedStructure):
-    """Quadratic Casimir of the shifted momentum, when it is well defined.
+    """Evaluator of the shifted quadratic Casimir on a (K, N) stack of momenta, or None.
 
     Requires a semisimple algebra, Upsilon = 0 and exact Theta; the conserved
     quantity is then the inverse-Killing quadratic of sigma = pi - xi.
@@ -105,9 +104,9 @@ def _casimir_monitor(structure: DeformedStructure):
         return None
     B_inv = np.linalg.inv(killing_form(algebra))
 
-    def monitor(pi):
-        sigma = pi - xi
-        return float(sigma @ B_inv @ sigma)
+    def monitor(pis):
+        sigma = pis - xi
+        return (sigma[:, None, :] @ B_inv @ sigma[:, :, None])[:, 0, 0]
 
     return monitor
 
@@ -127,15 +126,15 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
 
     ``rep`` is an optional stack of N generator matrices rho(e_i); when given
     (with g0 defaulting to the identity), the group element is reconstructed
-    from dg/dt = g rho(eta) with per-step polar reprojection.
+    from dg/dt = g rho(eta); after each step g = W S V^T is replaced by W V^T.
 
     RK4 steps one flat state y: pi alone, or pi followed by g raveled, whose
     time derivative is (pidot, g rho(eta)) with rho(eta) = eta_i rho(e_i).
-    Each kept state is one row of a preallocated array; the energy, Casimir and
-    ``extra_monitors`` channels are evaluated on those rows after the run.
+    Each kept state is one row of a preallocated array; after the run one stacked
+    matmul per channel (energy, Casimir, ``extra_monitors``) evaluates all rows.
 
     A mid-run degeneracy returns the partial trajectory with
-    ``degenerate_at`` set; non-finite states raise StepRejected.
+    ``degenerate_at`` set; non-finite states raise StepRejected before projection.
     """
     pi0 = np.asarray(pi0, dtype=float)
     n = pi0.size
@@ -168,20 +167,21 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
         except DegenerateForm:
             degenerate_at = float(times[k])
             break
+        if not np.isfinite(y).all():
+            raise StepRejected(f"non-finite state at t = {times[k + 1]:.6g}")
         if rep is not None:
-            y[n:] = polar(y[n:].reshape(d, d))[0].ravel()  # reproject onto the constraint surface
-        if not np.isfinite(y[:n]).all():
-            raise StepRejected(f"non-finite momentum at t = {times[k + 1]:.6g}")
+            w, _, vh = np.linalg.svd(y[n:].reshape(d, d))
+            y[n:] = (w @ vh).ravel()  # reproject onto O(d)
         rows[kept] = y
         kept += 1
 
     pis = rows[:kept, :n]
-    monitors = {"energy": np.array([hamiltonian(inertia, p) for p in pis])}
+    monitors = {"energy": 0.5 * (pis[:, None, :] @ inertia.I_inv @ pis[:, :, None])[:, 0, 0]}
     casimir = _casimir_monitor(structure)
     if casimir is not None:
-        monitors["casimir"] = np.array([casimir(p) for p in pis])
+        monitors["casimir"] = casimir(pis)
     for name, vec in (extra_monitors or {}).items():
-        monitors[name] = np.array([float(np.dot(vec, p)) for p in pis])
+        monitors[name] = (pis[:, None, :] @ np.asarray(vec, float)[:, None])[:, 0, 0]
     return Trajectory(
         times=times[:kept],
         pis=pis,

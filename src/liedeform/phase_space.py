@@ -34,18 +34,26 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: flo
     if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
         raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
     pair = np.stack((Theta, Upsilon), axis=1)
-    asymmetric = np.max(np.abs(pair + pair.swapaxes(2, 3)), axis=(2, 3), initial=0.0) > tol
+    # not (x <= tol): a non-finite entry makes its residual inf or NaN, and NaN fails every `>`
+    with np.errstate(invalid="ignore"):
+        asymmetric = ~(np.max(np.abs(pair + pair.swapaxes(2, 3)), axis=(2, 3), initial=0.0) <= tol)
     first = np.argmax(np.append(asymmetric.any(axis=1), True))  # first asymmetric point, or G
     res = cocycle_residual(algebra, Theta[:first])
     # no admission tolerance lies below the smaller constant: only points above it can fail
-    suspect = np.flatnonzero(res > min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL))
-    failing = suspect[res[suspect] > admission_tol(algebra, Theta[suspect])] if suspect.size else suspect
+    suspect = np.flatnonzero(~(res <= min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL)))
+    failing = (suspect[~(res[suspect] <= admission_tol(algebra, Theta[suspect]))]
+               if suspect.size else suspect)
     if failing.size:
         g = failing[0]
         raise NotACocycle(f"Theta is not a two-cocycle: residual {res[g]:.3e} > "
                           f"{admission_tol(algebra, Theta[g]):.3e}")
     if first < len(Theta):
-        name = ("Theta", "Upsilon")[np.argmax(asymmetric[first])]
+        k = np.argmax(asymmetric[first])
+        name, A = ("Theta", "Upsilon")[k], pair[first, k]
+        bad = np.argwhere(~np.isfinite(A))
+        if bad.size:
+            i, j = bad[0]
+            raise NotAntisymmetric(f"{name} has a non-finite entry {A[i, j]} at ({i}, {j})")
         raise NotAntisymmetric(f"{name} fails antisymmetry at {tol:.1e}")
 
 

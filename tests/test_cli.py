@@ -17,6 +17,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def subprocess_env():
+    """os.environ with this checkout's liedeform first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liedeform.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -142,6 +149,18 @@ class TestOmega:
         deform.write_text(json.dumps({"Theta": Theta.tolist(),
                                       "Upsilon": None, "xi": None}))
         assert run(["omega", "--algebra", alg, "--deformation", deform]) == 2
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_deformation_exit_2(self, tmp_path, capsys, entry):
+        # json reads NaN and Infinity literals; admission must reject them as bad input
+        deform = tmp_path / "bad.json"
+        deform.write_text('{"Theta": [[0, %s, 0], [0, 0, 0], [0, 0, 0]], "Upsilon": null}' % entry)
+        out = tmp_path / "omega.json"
+        assert run(["omega", "--algebra", "so3", "--deformation", deform, "-o", out]) == 2
+        value = {"NaN": "nan", "Infinity": "inf"}[entry]
+        assert capsys.readouterr().err.strip() == (
+            f"error: Theta has a non-finite entry {value} at (0, 1)")
+        assert not out.exists()
 
 
 class TestIsotropy:
@@ -272,14 +291,11 @@ class TestParserReuse:
         # main reuses one parser; axes must not leak between calls through the append default
         sweeps = [["sweep", "--algebra", "so3", "--axis", "xi:0=-1:1:3", "--axis", "xi:2=0:1:2"],
                   ["sweep", "--algebra", "so3", "--axis", "upsilon:1,2=-2:2:5"]]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(liedeform.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         separate = []
         for k, argv in enumerate(sweeps):
             out = tmp_path / f"separate{k}.csv"
             subprocess.run([sys.executable, "-m", "liedeform.cli", *argv, "-o", str(out)],
-                           check=True, env=env)
+                           check=True, env=subprocess_env())
             separate.append(out.read_bytes())
         with pytest.raises(SystemExit):
             main(["sweep", "--algebra", "so3", "--axis", "xi:1=0:1:2", "--bogus"])
@@ -313,3 +329,45 @@ def test_parse_axis():
         parse_axis("theta:0=0:2:9")
     with pytest.raises(ValueError):
         parse_axis("xi:0,1=0:2:9")
+
+
+SCIPY_FREE_SCRIPT = r"""
+import sys
+import numpy as np
+import liedeform, liedeform.cli
+from liedeform import (DeformedStructure, InertiaTensor, get_algebra, integrate,
+                       so3_vector_representation)
+
+out = sys.argv[1]
+so3, sl2r = get_algebra("so3"), get_algebra("sl2r")
+inertia = InertiaTensor.diagonal([1.0, 2.0, 3.0])
+traj = integrate(DeformedStructure(so3), inertia, [1.0, 0.1, 0.0], T=0.1, dt=0.01,
+                 rep=so3_vector_representation())
+assert traj.complete and traj.gs is not None
+U = np.zeros((3, 3))
+U[1, 2], U[2, 1] = 0.1, -0.1
+assert integrate(DeformedStructure(sl2r, None, U), inertia, [0.2, 0.1, 0.3], T=0.1,
+                 dt=0.01).complete
+for argv in (["validate", "--algebra", "so3", "-o", out + "/v.json"],
+             ["omega", "--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0,0",
+              "-o", out + "/o.json"],
+             ["sweep", "--algebra", "so3", "--axis", "xi:0=-1:1:3", "-o", out + "/s.csv"],
+             ["simulate", "--algebra", "so3", "--inertia", "diag:1,2,3", "--pi0", "1,0.1,0",
+              "--T", "0.1", "--dt", "0.01", "--rep", "so3", "-o", out + "/t.csv",
+              "--summary", out + "/t.json"]):
+    assert liedeform.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+# ad_exp imports expm on use and still gives the rotation about a unit axis (Rodrigues)
+u, t = np.array([1.0, 2.0, 2.0]) / 3.0, 0.7
+K = liedeform.ad_matrix(so3, u)
+rotation = np.eye(3) + np.sin(t) * K + (1.0 - np.cos(t)) * K @ K
+assert np.max(np.abs(liedeform.ad_exp(so3, u, t) - rotation)) < 1e-14
+"""
+
+
+def test_scipy_stays_off_import_integrate_and_cli(tmp_path):
+    # a fresh interpreter, so that no other test's import of scipy can hide one here
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -3,8 +3,9 @@ import pytest
 from scipy.linalg import polar
 
 from liedeform import dynamics
-from liedeform.algebra import LieAlgebra, abelian, ad_matrix, sl2r, so3
-from liedeform.cohomology import delta1_scalar
+from liedeform.algebra import (LieAlgebra, abelian, ad_matrix, is_semisimple, killing_form,
+                               sl2r, so3)
+from liedeform.cohomology import delta1_scalar, solve_primitive
 from liedeform.dynamics import (InertiaTensor, _rk4_step, euler_reference, hamiltonian,
                                 hamiltonian_vector_field, integrate,
                                 so3_vector_representation)
@@ -169,6 +170,11 @@ class TestIntegrate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepRejected):
                 integrate(S, RIGID_BODY, [1.0, 0.1, 0.0], T=1e8, dt=1e6)
+            # with a representation the state is checked before g is projected
+            for rep in (None, so3_vector_representation()):
+                with pytest.raises(StepRejected):
+                    integrate(S, InertiaTensor.diagonal([1.0, 2.0, 3.0]),
+                              [1e200, 3e200, -2e200], T=1.0, dt=0.5, rep=rep)
 
     def test_convergence_order(self):
         S = DeformedStructure(so3())
@@ -292,6 +298,26 @@ class TestFlatState:
                     assert np.ascontiguousarray(traj.gs).tobytes() == gs.tobytes()
                 energy = np.array([hamiltonian(inertia, p) for p in pis])
                 assert traj.monitors["energy"].tobytes() == energy.tobytes()
+
+    def test_monitor_channels_bitwise_equal_to_per_row_formulas(self, registry, rng):
+        # the stacked 1 x N matmuls must give the bytes of the per-row products
+        for algebra in registry:
+            n = algebra.dim
+            structure, inertia, pi0 = random_case(algebra, rng, with_upsilon=False)
+            vecs = {"random": rng.normal(size=n), "axis": list(np.eye(n)[-1])}
+            for rep in (None, adjoint_representation(algebra)):
+                traj = integrate(structure, inertia, pi0, T=0.5, dt=0.01, rep=rep,
+                                 extra_monitors=vecs)
+                for name, vec in vecs.items():
+                    expected = np.array([float(np.dot(vec, p)) for p in traj.pis])
+                    assert traj.monitors[name].tobytes() == expected.tobytes()
+                if not is_semisimple(algebra):
+                    assert "casimir" not in traj.monitors
+                    continue
+                xi = solve_primitive(algebra, structure.Theta)[0]
+                B_inv = np.linalg.inv(killing_form(algebra))
+                expected = np.array([float((p - xi) @ B_inv @ (p - xi)) for p in traj.pis])
+                assert traj.monitors["casimir"].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("make", [so3, sl2r])
     @pytest.mark.parametrize("with_upsilon", [False, True])

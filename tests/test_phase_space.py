@@ -49,6 +49,26 @@ class TestStructureAdmission:
         with pytest.raises(NotACocycle, match=r"residual 1\.000e-06 > 1\.000e-09"):
             DeformedStructure(so3_plus_center(), Theta, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["Theta", "Upsilon"])
+    def test_rejects_non_finite_entries(self, bad, which):
+        # NaN fails every `>` check, and inf - inf is NaN: both must still be rejected
+        A = np.zeros((3, 3))
+        A[0, 1], A[1, 0] = bad, -bad
+        args = {"Theta": (A, None), "Upsilon": (None, A)}[which]
+        with pytest.raises(NotAntisymmetric) as info:
+            DeformedStructure(so3(), *args)
+        assert str(info.value) == f"{which} has a non-finite entry {bad} at (0, 1)"
+        with pytest.raises(NotAntisymmetric):
+            DeformedStructure(so3(), A, A)
+
+    def test_rejects_a_cocycle_residual_that_overflows(self):
+        # finite entries whose delta2 sums inf - inf: a NaN admission residual must not pass
+        Theta = 1e308 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotACocycle, match="residual nan"):
+                DeformedStructure(sl2r(), Theta)
+
     def test_defaults_to_undeformed(self):
         S = DeformedStructure(so3())
         assert np.array_equal(S.Theta, np.zeros((3, 3)))
@@ -235,6 +255,23 @@ class TestDecideGrid:
         with pytest.raises(type(pointwise.value)) as stacked:
             decide_grid(algebra, Theta, Upsilon, np.zeros(4))
         assert str(stacked.value) == str(pointwise.value)
+
+    @pytest.mark.parametrize("bad_cocycle, non_finite", [(2, 4), (4, 1)])
+    def test_non_finite_point_raises_in_grid_order(self, bad_cocycle, non_finite):
+        from test_cohomology import so3_plus_center
+        algebra = so3_plus_center()
+        Theta, Upsilon = np.zeros((6, 4, 4)), np.zeros((6, 4, 4))
+        Theta[bad_cocycle, 2, 3], Theta[bad_cocycle, 3, 2] = 0.25, -0.25
+        Upsilon[non_finite, 1, 0] = np.nan
+        first = min(bad_cocycle, non_finite)
+        with pytest.raises((NotACocycle, NotAntisymmetric)) as pointwise:
+            DeformedStructure(algebra, Theta[first], Upsilon[first])
+        with pytest.raises(type(pointwise.value)) as stacked:
+            decide_grid(algebra, Theta, Upsilon, np.zeros(4))
+        assert str(stacked.value) == str(pointwise.value)
+        Theta[bad_cocycle] = 0.0
+        with pytest.raises(NotAntisymmetric, match=r"Upsilon has a non-finite entry nan at \(1, 0\)"):
+            decide_grid(algebra, Theta, Upsilon, np.zeros(4))
 
 
 class TestClosedness:
