@@ -18,6 +18,10 @@ from .cohomology import solve_primitive
 from .errors import DegenerateForm, NotExact, StepRejected
 from .phase_space import RANK_TOL, DeformedStructure, lie_poisson_block
 
+#: ||C Upsilon||_F^2 at or below this certifies K = I + C Upsilon nondegenerate: every
+#: singular value of K then lies in [0.1, 1.9], far above RANK_TOL * 1.9
+_CERTIFIED_SQ = 0.81
+
 
 @dataclass(frozen=True)
 class InertiaTensor:
@@ -29,9 +33,14 @@ class InertiaTensor:
         I_inv = np.asarray(self.I_inv, dtype=float)
         if I_inv.ndim != 2 or I_inv.shape[0] != I_inv.shape[1]:
             raise ValueError(f"inertia must be square, got shape {I_inv.shape}")
-        if np.max(np.abs(I_inv - I_inv.T)) > 1e-12:
-            raise ValueError("inertia must be symmetric")
-        if np.min(np.linalg.eigvalsh(I_inv)) <= 0:
+        if not np.isfinite(I_inv).all():
+            i, j = np.argwhere(~np.isfinite(I_inv))[0]
+            raise ValueError(f"inertia has a non-finite entry {I_inv[i, j]} at ({i}, {j})")
+        # not (x <= tol), not (x > 0): NaN fails both comparisons, so it is rejected
+        with np.errstate(over="ignore"):  # finite entries near the float64 limit
+            if not np.max(np.abs(I_inv - I_inv.T)) <= 1e-12:
+                raise ValueError("inertia must be symmetric")
+        if not np.min(np.linalg.eigvalsh(I_inv)) > 0:
             raise ValueError("inertia must be positive definite")
         I_inv.setflags(write=False)
         object.__setattr__(self, 'I_inv', I_inv)
@@ -53,18 +62,24 @@ def hamiltonian(inertia: InertiaTensor, pi) -> float:
 def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTensor, pi):
     """(eta, pidot) of the Hamiltonian vector field at body momentum pi.
 
-    Raises DegenerateForm when the two-form is singular at this point.
+    With Upsilon != 0, pidot solves K pidot = -C velocity, K = I + C Upsilon.  When
+    ||C Upsilon||_F^2 <= 0.81, K is nondegenerate by the certificate in the phase_space
+    docstring and no SVD is made; otherwise DegenerateForm is raised when the smallest
+    singular value of K is at most RANK_TOL * max(sigma_max, 1).
     """
     pi = np.asarray(pi, float)
     C = lie_poisson_block(structure, pi)
     velocity = inertia.I_inv @ pi
     if structure.upsilon_zero:
         return velocity, -C @ velocity
-    n = structure.algebra.dim
-    K = np.eye(n) + C @ structure.Upsilon
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[-1] <= RANK_TOL * max(s[0], 1.0):
-        raise DegenerateForm("two-form degenerate at this momentum")
+    X = C @ structure.Upsilon
+    K = structure._eye + X
+    x = X.ravel()
+    # not (x @ x <= ...): a NaN or inf in K fails the certificate and reaches the SVD
+    if not x @ x <= _CERTIFIED_SQ:
+        s = np.linalg.svd(K, compute_uv=False)
+        if s[-1] <= RANK_TOL * max(s[0], 1.0):
+            raise DegenerateForm("two-form degenerate at this momentum")
     pidot = np.linalg.solve(K, -C @ velocity)
     eta = velocity + structure.Upsilon @ pidot
     return eta, pidot
@@ -161,19 +176,21 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     rows = np.empty((max(steps, 0) + 1, y.size))
     rows[0] = y
     kept, degenerate_at = 1, None
-    for k in range(steps):
-        try:
-            y = _rk4_step(rhs, y, dt)
-        except DegenerateForm:
-            degenerate_at = float(times[k])
-            break
-        if not np.isfinite(y).all():
-            raise StepRejected(f"non-finite state at t = {times[k + 1]:.6g}")
-        if rep is not None:
-            w, _, vh = np.linalg.svd(y[n:].reshape(d, d))
-            y[n:] = (w @ vh).ravel()  # reproject onto O(d)
-        rows[kept] = y
-        kept += 1
+    # a blow-up overflows silently: the finiteness check below reports it as StepRejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            try:
+                y = _rk4_step(rhs, y, dt)
+            except DegenerateForm:
+                degenerate_at = float(times[k])
+                break
+            if not np.isfinite(y).all():
+                raise StepRejected(f"non-finite state at t = {times[k + 1]:.6g}")
+            if rep is not None:
+                w, _, vh = np.linalg.svd(y[n:].reshape(d, d))
+                y[n:] = (w @ vh).ravel()  # reproject onto O(d)
+            rows[kept] = y
+            kept += 1
 
     pis = rows[:kept, :n]
     monitors = {"energy": 0.5 * (pis[:, None, :] @ inertia.I_inv @ pis[:, :, None])[:, 0, 0]}

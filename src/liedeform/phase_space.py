@@ -7,7 +7,10 @@ The 2N x 2N coefficient matrix uses the basis ordering
          [ -I_N,   Upsilon ]],   C(pi) = pi_m f[m] + Theta.
 
 Kernel vectors (x, y) satisfy y = -C x and (I + Upsilon C) x = 0, so the
-nullity of M equals the nullity of I + Upsilon C(pi).
+nullity of M equals the nullity of I + Upsilon C(pi), and of K = I + C(pi) Upsilon.
+
+Certificate: if ||C Upsilon||_F <= 0.9, then ||C Upsilon||_2 <= 0.9, so by Weyl's inequality
+every singular value of K lies in [1 - 0.9, 1 + 0.9] = [0.1, 1.9] and K and M are nondegenerate.
 """
 from __future__ import annotations
 
@@ -77,7 +80,8 @@ class DeformedStructure:
 
     Theta and Upsilon are read-only copies of the caller's arrays.  What depends
     only on the structure is computed once: ``upsilon_zero`` (Upsilon has no
-    nonzero entry) and ``f`` flattened to N x N*N, so that C(pi) is one matmul.
+    nonzero entry), ``f`` flattened to N x N*N, so that C(pi) is one matmul, and
+    the N x N identity.
     """
 
     algebra: LieAlgebra
@@ -85,6 +89,7 @@ class DeformedStructure:
     Upsilon: np.ndarray = None
     upsilon_zero: bool = field(init=False)
     _f_flat: np.ndarray = field(init=False, repr=False)
+    _eye: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -97,6 +102,9 @@ class DeformedStructure:
         object.__setattr__(self, 'Upsilon', Upsilon)
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
         object.__setattr__(self, '_f_flat', self.algebra.f.reshape(n, n * n))
+        eye = np.eye(n)
+        eye.setflags(write=False)
+        object.__setattr__(self, '_eye', eye)
 
 
 def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:

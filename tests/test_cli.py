@@ -229,6 +229,25 @@ class TestSimulate:
             outputs.append((traj.read_bytes(), summary.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_non_finite_inertia_exit_2(self, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        assert run(["simulate", "--algebra", "so3", "--inertia", "diag:1,inf,3",
+                    "--pi0", "1,0,0", "--T", 1.0, "--dt", 0.5, "--output", traj]) == 2
+        assert capsys.readouterr().err == "error: inertia has a non-finite entry inf at (1, 1)\n"
+        assert not traj.exists()
+
+    def test_blow_up_exit_2_without_warnings(self, tmp_path):
+        # a fresh interpreter: numpy's RuntimeWarnings would reach stderr with their source lines
+        traj = tmp_path / "traj.csv"
+        done = subprocess.run([sys.executable, "-m", "liedeform.cli", "simulate",
+                               "--algebra", "so3", "--inertia", "diag:1,2,3",
+                               "--pi0", "1e200,3e200,-2e200", "--T", "1", "--dt", "0.5",
+                               "-o", str(traj)],
+                              capture_output=True, text=True, env=subprocess_env())
+        assert done.returncode == 2
+        assert done.stderr == "error: non-finite state at t = 0.5\n"
+        assert not traj.exists()
+
 
 class TestSweep:
     def test_fg_hyperbola(self, tmp_path):

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import polar
 
 from liedeform import dynamics
@@ -10,7 +14,10 @@ from liedeform.dynamics import (InertiaTensor, _rk4_step, euler_reference, hamil
                                 hamiltonian_vector_field, integrate,
                                 so3_vector_representation)
 from liedeform.errors import DegenerateForm, StepRejected
-from liedeform.phase_space import DeformedStructure, omega_matrix
+from liedeform.phase_space import (RANK_TOL, DeformedStructure, lie_poisson_block,
+                                   load_deformation, omega_matrix)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 RIGID_BODY = InertiaTensor.diagonal([1.0, 0.5, 1.0 / 3.0])
 
@@ -33,6 +40,18 @@ class TestInertiaTensor:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             InertiaTensor(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("I_inv, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], "inertia has a non-finite entry nan at (0, 1)"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "inertia has a non-finite entry inf at (0, 0)"),
+        ([[1.0, 0.0], [0.0, -np.inf]], "inertia has a non-finite entry -inf at (1, 1)"),
+        # finite, but the asymmetry overflows to inf: rejected without a warning
+        ([[1.0, 1e308], [-1e308, 1.0]], "inertia must be symmetric"),
+    ])
+    def test_rejects_non_finite(self, I_inv, message):
+        with pytest.raises(ValueError) as info:
+            InertiaTensor(np.array(I_inv))
+        assert str(info.value) == message
 
 
 class TestHamiltonian:
@@ -103,6 +122,99 @@ class TestHamiltonianVectorField:
             hamiltonian_vector_field(S, InertiaTensor.identity(2), np.zeros(2))
 
 
+def always_svd_field(structure, inertia, pi):
+    """hamiltonian_vector_field with Upsilon != 0, deciding every call by the SVD rule."""
+    C = lie_poisson_block(structure, pi)
+    velocity = inertia.I_inv @ pi
+    K = np.eye(structure.algebra.dim) + C @ structure.Upsilon
+    s = np.linalg.svd(K, compute_uv=False)
+    if s[-1] <= RANK_TOL * max(s[0], 1.0):
+        raise DegenerateForm("two-form degenerate at this momentum")
+    pidot = np.linalg.solve(K, -C @ velocity)
+    return velocity + structure.Upsilon @ pidot, pidot
+
+
+def verdict(field, *args):
+    """None for a degenerate point, else the bytes of (eta, pidot)."""
+    try:
+        eta, pidot = field(*args)
+    except DegenerateForm:
+        return None
+    return eta.tobytes(), pidot.tobytes()
+
+
+def abelian2_reproducer(eps):
+    Theta = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return DeformedStructure(abelian(2), Theta, (1.0 - eps) * Theta)
+
+
+class TestNondegeneracyCertificate:
+    """||C Upsilon||_F <= 0.9 replaces the SVD of K = I + C Upsilon without changing a verdict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_same_as_always_svd_on_registry(self, registry, data):
+        algebra = data.draw(st.sampled_from(registry))
+        n = algebra.dim
+        vector = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        square = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+        pi = np.array(data.draw(vector))
+        if algebra.f.any():
+            Theta = delta1_scalar(algebra, np.array(data.draw(vector)))
+        else:  # every antisymmetric Theta is a cocycle on an abelian algebra
+            A = np.array(data.draw(square)).reshape(n, n)
+            Theta = A - A.T
+        A = np.array(data.draw(square)).reshape(n, n)
+        Upsilon = A - A.T
+        norm = np.linalg.norm(lie_poisson_block(DeformedStructure(algebra, Theta), pi) @ Upsilon)
+        if norm > 0:  # ||C Upsilon||_F on either side of 0.9
+            Upsilon *= data.draw(st.floats(0.05, 3.0)) / norm
+        structure = DeformedStructure(algebra, Theta, Upsilon)
+        inertia = InertiaTensor.diagonal(data.draw(
+            st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n)))
+        assert (verdict(hamiltonian_vector_field, structure, inertia, pi)
+                == verdict(always_svd_field, structure, inertia, pi))
+
+    def test_abelian2_epsilon_family(self):
+        # ||C Upsilon||_F = sqrt(2) |1 - eps|: the certificate holds for eps in [0.364, 1.636]
+        # and the SVD rule's cut lies near eps = 1e-10
+        verdicts = []
+        for eps in (0.0, 1e-12, 1e-10, 1e-8, 0.3, 0.36, 0.37, 0.5, 0.9, 1.1, 1.6, 1.7, 2.0):
+            args = (abelian2_reproducer(eps), InertiaTensor.identity(2), np.zeros(2))
+            verdicts.append(verdict(hamiltonian_vector_field, *args))
+            assert verdicts[-1] == verdict(always_svd_field, *args)
+        assert verdicts[0] is None and verdicts[-1] is not None
+
+    def test_svd_calls_inside_integrate(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        # the simulate_sl2r_upsilon golden: every RHS call is certified
+        structure = load_deformation(GOLDEN / "sl2r-upsilon.json", sl2r())
+        traj = integrate(structure, InertiaTensor.diagonal([1.0, 2.0, 2.0]), [0.3, -0.5, 0.8],
+                         T=2.0, dt=0.05)
+        assert traj.complete and calls == []
+        # ||C Upsilon||_F = sqrt(2) (1 - 1e-10): outside the certificate
+        integrate(abelian2_reproducer(1e-10), InertiaTensor.identity(2), [0.0, 0.0], T=0.1, dt=0.01)
+        assert len(calls) >= 1
+
+    def test_nan_momentum_raises_linalg_error(self):
+        structure = load_deformation(GOLDEN / "sl2r-upsilon.json", sl2r())
+        with pytest.raises(np.linalg.LinAlgError):
+            hamiltonian_vector_field(structure, InertiaTensor.identity(3), [np.nan, 0.0, 0.0])
+
+    def test_radius_clears_the_rank_cut(self):
+        # sigma(K) lies in [1 - r, 1 + r], and the SVD rule fires only at
+        # sigma_min <= RANK_TOL * max(sigma_max, 1) <= RANK_TOL * (1 + r)
+        r = np.sqrt(dynamics._CERTIFIED_SQ)
+        assert (1.0 + r) * RANK_TOL < 1e-6 * (1.0 - r)
+
+
 class TestIntegrate:
     def test_free_rigid_body_conservation(self):
         S = DeformedStructure(so3())
@@ -165,16 +277,16 @@ class TestIntegrate:
         assert len(traj.times) == 1
 
     def test_non_finite_rejected(self):
-        # grotesque step size blows the quadratic vector field up
+        # grotesque step size blows the quadratic vector field up; the overflow is reported
+        # as StepRejected, not as a RuntimeWarning (an error under the test configuration)
         S = DeformedStructure(so3())
-        with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepRejected):
+            integrate(S, RIGID_BODY, [1.0, 0.1, 0.0], T=1e8, dt=1e6)
+        # with a representation the state is checked before g is projected
+        for rep in (None, so3_vector_representation()):
             with pytest.raises(StepRejected):
-                integrate(S, RIGID_BODY, [1.0, 0.1, 0.0], T=1e8, dt=1e6)
-            # with a representation the state is checked before g is projected
-            for rep in (None, so3_vector_representation()):
-                with pytest.raises(StepRejected):
-                    integrate(S, InertiaTensor.diagonal([1.0, 2.0, 3.0]),
-                              [1e200, 3e200, -2e200], T=1.0, dt=0.5, rep=rep)
+                integrate(S, InertiaTensor.diagonal([1.0, 2.0, 3.0]),
+                          [1e200, 3e200, -2e200], T=1.0, dt=0.5, rep=rep)
 
     def test_convergence_order(self):
         S = DeformedStructure(so3())
