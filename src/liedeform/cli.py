@@ -22,8 +22,7 @@ from .algebra import get_algebra, load_algebra, validate_algebra
 from .cohomology import (cocycle_residual, cohomology_dimensions, delta1_scalar,
                          solve_primitive)
 from .dynamics import InertiaTensor, hamiltonian, integrate, so3_vector_representation
-from .errors import (DegenerateForm, LieDeformError, NotACocycle,
-                     NotAntisymmetric, NotExact, ShapeMismatch, UpsilonPresent)
+from .errors import DegenerateForm, LieDeformError, NotACocycle, NotExact, UpsilonPresent
 from .phase_space import (DeformedStructure, darboux_shift, decide_grid, degeneracy,
                           load_deformation, poisson_tensor)
 from .symmetry import isotropy_subalgebra
@@ -53,7 +52,7 @@ def _fmt(x) -> str:
 
 
 def emit_report(report: dict, output: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -123,19 +122,18 @@ def _structure_payload(structure: DeformedStructure) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _emit(out: dict, payload, output: str | None):
+    """emit_report with the hash of the run's resolved inputs and the version added."""
+    emit_report({**out, "input_hash": input_hash(payload), "version": __version__}, output)
+
+
 def cmd_validate(args) -> int:
     algebra = resolve_algebra(args.algebra)
     report = validate_algebra(algebra.f, tol=args.tol)
-    out = {
-        "algebra": algebra.name,
-        "dim": algebra.dim,
-        "antisymmetry_residual": report.antisymmetry_residual,
-        "jacobi_residual": report.jacobi_residual,
-        "accepted": report.accepted,
-        "input_hash": input_hash({"f": algebra.f}),
-        "version": __version__,
-    }
-    emit_report(out, args.output)
+    _emit({"algebra": algebra.name, "dim": algebra.dim,
+           "antisymmetry_residual": report.antisymmetry_residual,
+           "jacobi_residual": report.jacobi_residual, "accepted": report.accepted},
+          {"f": algebra.f}, args.output)
     return EXIT_OK if report.accepted else EXIT_VALIDATION
 
 
@@ -143,22 +141,14 @@ def cmd_cohomology(args) -> int:
     algebra = resolve_algebra(args.algebra)
     structure = resolve_structure(args, algebra)
     dims = cohomology_dimensions(algebra)
-    residual = cocycle_residual(algebra, structure.Theta)
     try:
-        xi, _, _ = solve_primitive(algebra, structure.Theta)
-        exact, xi_out = True, xi
+        xi = solve_primitive(algebra, structure.Theta)[0]
     except NotExact:
-        exact, xi_out = False, None
-    out = {
-        "algebra": algebra.name,
-        "cocycle_residual": residual,
-        "exact": exact,
-        "xi": xi_out,
-        "dims": {"Z2": dims.z2, "B2": dims.b2, "H2": dims.h2, "H1": dims.h1},
-        "input_hash": input_hash(_structure_payload(structure)),
-        "version": __version__,
-    }
-    emit_report(out, args.output)
+        xi = None
+    _emit({"algebra": algebra.name, "cocycle_residual": cocycle_residual(algebra, structure.Theta),
+           "exact": xi is not None, "xi": xi,
+           "dims": {"Z2": dims.z2, "B2": dims.b2, "H2": dims.h2, "H1": dims.h1}},
+          _structure_payload(structure), args.output)
     return EXIT_OK
 
 
@@ -167,45 +157,27 @@ def cmd_omega(args) -> int:
     structure = resolve_structure(args, algebra)
     pi = parse_vector(args.pi) if args.pi else np.zeros(algebra.dim)
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
-    poisson = None
-    if report.nullity == 0:
-        poisson = poisson_tensor(structure, pi, rank_tol=args.rank_tol)
+    poisson = (poisson_tensor(structure, pi, rank_tol=args.rank_tol) if report.nullity == 0
+               else None)
     darboux_xi = None
     try:
         _, darboux_xi = darboux_shift(structure, pi)
     except (UpsilonPresent, NotExact, NotACocycle):
         pass
-    out = {
-        "algebra": algebra.name,
-        "rank": report.rank,
-        "nullity": report.nullity,
-        "kernel": report.kernel,
-        "poisson": poisson,
-        "darboux_xi": darboux_xi,
-        "input_hash": input_hash({**_structure_payload(structure), "pi": pi}),
-        "version": __version__,
-    }
-    emit_report(out, args.output)
+    _emit({"algebra": algebra.name, "rank": report.rank, "nullity": report.nullity,
+           "kernel": report.kernel, "poisson": poisson, "darboux_xi": darboux_xi},
+          {**_structure_payload(structure), "pi": pi}, args.output)
     return EXIT_OK
 
 
 def cmd_isotropy(args) -> int:
     algebra = resolve_algebra(args.algebra)
     structure = resolve_structure(args, algebra)
-    inertia_inv = None
-    if args.inertia:
-        inertia_inv = resolve_inertia(args.inertia, algebra.dim).I_inv
+    inertia_inv = resolve_inertia(args.inertia, algebra.dim).I_inv if args.inertia else None
     sub = isotropy_subalgebra(algebra, structure.Theta, structure.Upsilon, inertia_inv)
-    out = {
-        "algebra": algebra.name,
-        "dimension": sub.dimension,
-        "basis": sub.basis,
-        "closure_residual": sub.closure_residual,
-        "input_hash": input_hash({**_structure_payload(structure),
-                                  "inertia": inertia_inv}),
-        "version": __version__,
-    }
-    emit_report(out, args.output)
+    _emit({"algebra": algebra.name, "dimension": sub.dimension, "basis": sub.basis,
+           "closure_residual": sub.closure_residual},
+          {**_structure_payload(structure), "inertia": inertia_inv}, args.output)
     return EXIT_OK
 
 
@@ -232,25 +204,16 @@ def cmd_simulate(args) -> int:
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"pi_{i}" for i in range(algebra.dim)] + channel_names)
-        for k in range(len(traj.times)):
-            row = [_fmt(traj.times[k])]
-            row += [_fmt(v) for v in traj.pis[k]]
-            row += [_fmt(traj.monitors[name][k]) for name in channel_names]
-            writer.writerow(row)
+        writer.writerows([_fmt(traj.times[k])] + [_fmt(v) for v in traj.pis[k]]
+                         + [_fmt(traj.monitors[name][k]) for name in channel_names]
+                         for k in range(len(traj.times)))
 
-    summary = {
-        "algebra": algebra.name,
-        "energy_drift": traj.drift("energy"),
-        "casimir_drift": traj.drift("casimir") if "casimir" in traj.monitors else None,
-        "monitor_drifts": {name: traj.drift(name) for name in channel_names},
-        "degenerate_at": traj.degenerate_at,
-        "steps": len(traj.times) - 1,
-        "input_hash": input_hash({**_structure_payload(structure),
-                                  "I_inv": inertia.I_inv, "pi0": pi0,
-                                  "T": args.T, "dt": args.dt}),
-        "version": __version__,
-    }
-    emit_report(summary, args.summary)
+    _emit({"algebra": algebra.name, "energy_drift": traj.drift("energy"),
+           "casimir_drift": traj.drift("casimir") if "casimir" in traj.monitors else None,
+           "monitor_drifts": {name: traj.drift(name) for name in channel_names},
+           "degenerate_at": traj.degenerate_at, "steps": len(traj.times) - 1},
+          {**_structure_payload(structure), "I_inv": inertia.I_inv, "pi0": pi0,
+           "T": args.T, "dt": args.dt}, args.summary)
     return EXIT_OK if traj.degenerate_at is None else EXIT_DEGENERATE
 
 
@@ -326,27 +289,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, deformation=True):
+    def common(p, deformation=True, rank_tol=False):
         p.add_argument("--algebra", required=True,
                        help="algebra spec file or registry name (so3, sl2r, "
                             "heisenberg, se2, abelianN)")
         if deformation:
             p.add_argument("--deformation", help="deformation spec file (JSON)")
             p.add_argument("--xi", help="inline xi vector; Theta becomes its coboundary")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="validation tolerance override")
-        p.add_argument("--rank-tol", type=float, default=1e-10,
-                       help="relative singular-value cutoff for rank decisions")
+        if rank_tol:
+            p.add_argument("--rank-tol", type=float, default=1e-10,
+                           help="singular values of K = I + C(pi) Upsilon at or below "
+                                "rank_tol * max(sigma_max(K), 1) count as zero; in (0, 1)")
         p.add_argument("--output", "-o", help="output file (default: stdout for JSON)")
 
     p = sub.add_parser("validate", help="check bracket axioms of an algebra")
     common(p, deformation=False)
+    p.add_argument("--tol", type=float, default=1e-12, help="validation tolerance override")
 
     p = sub.add_parser("cohomology", help="cocycle residual, exactness, cohomology dims")
     common(p)
 
     p = sub.add_parser("omega", help="two-form matrix analysis at a phase point")
-    common(p)
+    common(p, rank_tol=True)
     p.add_argument("--pi", help="body momentum, comma separated (default zeros)")
 
     p = sub.add_parser("isotropy", help="residual-symmetry subalgebra")
@@ -364,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="JSON summary file (default: stdout)")
 
     p = sub.add_parser("sweep", help="grid sweep of deformation entries")
-    common(p)
+    common(p, rank_tol=True)
     p.add_argument("--axis", action="append", default=[],
                    help="kind:i[,j]=start:stop:num with kind theta|upsilon|xi; repeatable")
     p.add_argument("--pi0", help="body momentum at which to evaluate (default zeros)")
@@ -384,14 +348,16 @@ def main(argv=None) -> int:
         parser.error("simulate requires --output for the trajectory CSV")
     if args.command == "sweep" and not args.output:
         parser.error("sweep requires --output for the grid CSV")
+    # at 1 or above, an odd N's count of small singular values rounded up to even can exceed N
+    if not 0.0 < getattr(args, "rank_tol", 0.5) < 1.0:  # omega and sweep only; NaN fails too
+        parser.error("--rank-tol must lie in (0, 1)")
     try:
         # looked up per call, not bound into the cached parser: a patched cmd_* is the one run
         return globals()[f"cmd_{args.command}"](args)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ShapeMismatch, NotACocycle, NotAntisymmetric, LieDeformError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LieDeformError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _transpose_residual
 from .errors import NotACocycle, NotAntisymmetric, NotExact
 
 #: absolute cocycle-admission tolerance for integer-valued structure constants
@@ -56,9 +56,13 @@ def delta1_vector(algebra: LieAlgebra, theta) -> np.ndarray:
 
 
 def delta2(algebra: LieAlgebra, Theta, tol: float = 1e-12) -> np.ndarray:
-    """Degree-two coboundary of an antisymmetric scalar 2-cochain, indexed [...][a][b][c]."""
+    """Degree-two coboundary of an antisymmetric scalar 2-cochain, indexed [...][a][b][c].
+
+    Antisymmetry is judged point by point, relative to the scale of each point's Theta.
+    """
     Theta = np.asarray(Theta, float)
-    if np.max(np.abs(Theta + np.swapaxes(Theta, -1, -2)), initial=0.0) > tol:
+    residual, bound = _transpose_residual(Theta, tol)
+    if not np.all(residual <= bound):
         raise NotAntisymmetric("Theta must be antisymmetric")
     return (-np.einsum('...kc,kab->...abc', Theta, algebra.f)
             + np.einsum('...kb,kac->...abc', Theta, algebra.f)
@@ -71,11 +75,15 @@ def cocycle_residual(algebra: LieAlgebra, Theta):
 
 
 def is_symplectic_cocycle(algebra: LieAlgebra, theta, tol: float | None = None) -> bool:
-    """True iff theta is antisymmetric and has vanishing coboundary (both within tol)."""
+    """True iff theta is antisymmetric and has vanishing coboundary (within tol).
+
+    Antisymmetry is judged by the rule DeformedStructure admits Theta by.
+    """
     theta = np.asarray(theta, float)
     if tol is None:
         tol = admission_tol(algebra, theta)
-    if np.max(np.abs(theta + theta.T), initial=0.0) > tol:
+    residual, bound = _transpose_residual(theta)
+    if not residual <= bound:
         return False
     return float(np.max(np.abs(delta1_vector(algebra, theta)))) <= tol
 
@@ -133,15 +141,11 @@ def cohomology_dimensions(algebra: LieAlgebra) -> CohomologyDims:
     n = algebra.dim
     pairs = _pair_index(n)
     m = len(pairs)
-    # delta2 on the ordered-pair basis of antisymmetric 2-cochains
-    cols = []
-    for a, b in pairs:
-        E = np.zeros((n, n))
-        E[a, b] = 1.0
-        E[b, a] = -1.0
-        cols.append(delta2(algebra, E).ravel())
-    d2 = np.array(cols).T if m else np.zeros((n ** 3, 0))
-    rank_d2 = int(np.linalg.matrix_rank(d2)) if m else 0
+    # delta2 on the ordered-pair basis of antisymmetric 2-cochains, one unit cochain per row
+    E = np.zeros((m, n, n))
+    for k, (a, b) in enumerate(pairs):
+        E[k, a, b], E[k, b, a] = 1.0, -1.0
+    rank_d2 = int(np.linalg.matrix_rank(delta2(algebra, E).reshape(m, -1))) if m else 0
     z2 = m - rank_d2
     b2 = int(np.linalg.matrix_rank(_coboundary_matrix(algebra))) if m else 0
     derived = int(np.linalg.matrix_rank(algebra.f.reshape(n, n * n)))

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, is_semisimple, killing_form, so3
+from .algebra import LieAlgebra, _transpose_residual, is_semisimple, killing_form, so3
 from .cohomology import solve_primitive
 from .errors import DegenerateForm, NotExact, StepRejected
-from .phase_space import RANK_TOL, DeformedStructure, lie_poisson_block
+from .phase_space import DeformedStructure, _nullity, lie_poisson_block
 
 #: ||C Upsilon||_F^2 at or below this certifies K = I + C Upsilon nondegenerate: every
-#: singular value of K then lies in [0.1, 1.9], far above RANK_TOL * 1.9
+#: singular value of K then lies in [0.1, 1.9], far above _nullity's cut RANK_TOL * 1.9
 _CERTIFIED_SQ = 0.81
 
 
@@ -36,10 +36,10 @@ class InertiaTensor:
         if not np.isfinite(I_inv).all():
             i, j = np.argwhere(~np.isfinite(I_inv))[0]
             raise ValueError(f"inertia has a non-finite entry {I_inv[i, j]} at ({i}, {j})")
-        # not (x <= tol), not (x > 0): NaN fails both comparisons, so it is rejected
-        with np.errstate(over="ignore"):  # finite entries near the float64 limit
-            if not np.max(np.abs(I_inv - I_inv.T)) <= 1e-12:
-                raise ValueError("inertia must be symmetric")
+        residual, bound = _transpose_residual(I_inv, symmetric=True)
+        if not residual <= bound:
+            raise ValueError("inertia must be symmetric")
+        # not (x > 0): NaN fails the comparison, so it is rejected
         if not np.min(np.linalg.eigvalsh(I_inv)) > 0:
             raise ValueError("inertia must be positive definite")
         I_inv.setflags(write=False)
@@ -64,8 +64,8 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
 
     With Upsilon != 0, pidot solves K pidot = -C velocity, K = I + C Upsilon.  When
     ||C Upsilon||_F^2 <= 0.81, K is nondegenerate by the certificate in the phase_space
-    docstring and no SVD is made; otherwise DegenerateForm is raised when the smallest
-    singular value of K is at most RANK_TOL * max(sigma_max, 1).
+    docstring and no SVD is made; otherwise DegenerateForm is raised where
+    phase_space._nullity finds K degenerate at RANK_TOL, the rule ``omega`` applies.
     """
     pi = np.asarray(pi, float)
     C = lie_poisson_block(structure, pi)
@@ -76,10 +76,8 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
     K = structure._eye + X
     x = X.ravel()
     # not (x @ x <= ...): a NaN or inf in K fails the certificate and reaches the SVD
-    if not x @ x <= _CERTIFIED_SQ:
-        s = np.linalg.svd(K, compute_uv=False)
-        if s[-1] <= RANK_TOL * max(s[0], 1.0):
-            raise DegenerateForm("two-form degenerate at this momentum")
+    if not x @ x <= _CERTIFIED_SQ and _nullity(K):
+        raise DegenerateForm("two-form degenerate at this momentum")
     pidot = np.linalg.solve(K, -C @ velocity)
     eta = velocity + structure.Upsilon @ pidot
     return eta, pidot
@@ -149,7 +147,8 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     matmul per channel (energy, Casimir, ``extra_monitors``) evaluates all rows.
 
     A mid-run degeneracy returns the partial trajectory with
-    ``degenerate_at`` set; non-finite states raise StepRejected before projection.
+    ``degenerate_at`` set; non-finite states raise StepRejected before projection,
+    and so does a monitor that overflows on finite states.
     """
     pi0 = np.asarray(pi0, dtype=float)
     n = pi0.size
@@ -176,7 +175,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     rows = np.empty((max(steps, 0) + 1, y.size))
     rows[0] = y
     kept, degenerate_at = 1, None
-    # a blow-up overflows silently: the finiteness check below reports it as StepRejected
+    # a blow-up overflows silently: the finiteness checks below report it as StepRejected
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             try:
@@ -192,13 +191,18 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
             rows[kept] = y
             kept += 1
 
-    pis = rows[:kept, :n]
-    monitors = {"energy": 0.5 * (pis[:, None, :] @ inertia.I_inv @ pis[:, :, None])[:, 0, 0]}
-    casimir = _casimir_monitor(structure)
-    if casimir is not None:
-        monitors["casimir"] = casimir(pis)
-    for name, vec in (extra_monitors or {}).items():
-        monitors[name] = (pis[:, None, :] @ np.asarray(vec, float)[:, None])[:, 0, 0]
+        pis = rows[:kept, :n]
+        monitors = {"energy": 0.5 * (pis[:, None, :] @ inertia.I_inv @ pis[:, :, None])[:, 0, 0]}
+        casimir = _casimir_monitor(structure)
+        if casimir is not None:
+            monitors["casimir"] = casimir(pis)
+        for name, vec in (extra_monitors or {}).items():
+            monitors[name] = (pis[:, None, :] @ np.asarray(vec, float)[:, None])[:, 0, 0]
+        for name, values in monitors.items():
+            finite = np.isfinite(values - values[0])  # the monitor and its drift
+            if not finite.all():
+                t = times[np.argmin(finite)]
+                raise StepRejected(f"non-finite {name} monitor at t = {t:.6g}")
     return Trajectory(
         times=times[:kept],
         pis=pis,

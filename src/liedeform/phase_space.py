@@ -9,6 +9,13 @@ The 2N x 2N coefficient matrix uses the basis ordering
 Kernel vectors (x, y) satisfy y = -C x and (I + Upsilon C) x = 0, so the
 nullity of M equals the nullity of I + Upsilon C(pi), and of K = I + C(pi) Upsilon.
 
+Nondegeneracy has one rule, ``_nullity``, which ``omega``, ``sweep`` and the vector
+field behind ``simulate`` all apply: count the singular values of K at or below
+rank_tol * max(sigma_max(K), 1).  Near K = I the cut is absolute, so the canonical
+form (K = I) is nondegenerate at any momentum.  M is antisymmetric, so its nullity
+is even: a count split by the cut is rounded up to even.  The SVD of M itself only
+extracts a kernel basis at points already decided degenerate.
+
 Certificate: if ||C Upsilon||_F <= 0.9, then ||C Upsilon||_2 <= 0.9, so by Weyl's inequality
 every singular value of K lies in [1 - 0.9, 1 + 0.9] = [0.1, 1.9] and K and M are nondegenerate.
 """
@@ -19,12 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _transpose_residual
 from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, admission_tol, cocycle_residual,
                          delta1_scalar, solve_primitive)
 from .errors import DegenerateForm, NotACocycle, NotAntisymmetric, UpsilonPresent
 
-#: singular values below RANK_TOL * sigma_max count as zero
+#: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
 RANK_TOL = 1e-10
 
 
@@ -37,9 +44,8 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: flo
     if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
         raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
     pair = np.stack((Theta, Upsilon), axis=1)
-    # not (x <= tol): a non-finite entry makes its residual inf or NaN, and NaN fails every `>`
-    with np.errstate(invalid="ignore"):
-        asymmetric = ~(np.max(np.abs(pair + pair.swapaxes(2, 3)), axis=(2, 3), initial=0.0) <= tol)
+    residual, bound = _transpose_residual(pair, tol)
+    asymmetric = ~(residual <= bound)
     first = np.argmax(np.append(asymmetric.any(axis=1), True))  # first asymmetric point, or G
     res = cocycle_residual(algebra, Theta[:first])
     # no admission tolerance lies below the smaller constant: only points above it can fail
@@ -57,7 +63,8 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: flo
         if bad.size:
             i, j = bad[0]
             raise NotAntisymmetric(f"{name} has a non-finite entry {A[i, j]} at ({i}, {j})")
-        raise NotAntisymmetric(f"{name} fails antisymmetry at {tol:.1e}")
+        raise NotAntisymmetric(f"{name} fails antisymmetry: residual "
+                               f"{residual[first, k]:.3e} > {bound[first, k]:.3e}")
 
 
 def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
@@ -68,10 +75,11 @@ def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
     return M
 
 
-def _rank(s: np.ndarray, rank_tol: float):
-    """Singular values above rank_tol * sigma_max (rank_tol when sigma_max = 0), per row of s."""
-    smax = s[..., :1]
-    return np.sum(s > np.where(smax > 0, rank_tol * smax, rank_tol), axis=-1)
+def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
+    """Nullity of M from (..., N, N) stacks of K = I + C Upsilon, by the rule stated above."""
+    s = np.linalg.svd(K, compute_uv=False)
+    zero = (s <= np.maximum(s[..., :1], 1.0) * rank_tol).sum(-1)
+    return zero + zero % 2
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,15 @@ class DegeneracyReport:
 
 
 def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> DegeneracyReport:
-    """Rank, nullity and kernel basis of the two-form matrix via SVD."""
-    M = omega_matrix(structure, pi)
-    _, s, vt = np.linalg.svd(M)
-    rank = int(_rank(s, rank_tol))
-    kernel = vt[rank:].T
-    return DegeneracyReport(rank=rank, nullity=M.shape[0] - rank, kernel=kernel)
+    """Rank and nullity of the two-form matrix by ``_nullity``; a kernel basis where degenerate."""
+    C = lie_poisson_block(structure, pi)
+    n = structure.algebra.dim
+    nullity = int(_nullity(structure._eye + C @ structure.Upsilon, rank_tol))
+    kernel = np.empty((2 * n, 0))
+    if nullity:
+        _, _, vt = np.linalg.svd(_omega_blocks(C, structure.Upsilon))
+        kernel = vt[2 * n - nullity:].T
+    return DegeneracyReport(rank=2 * n - nullity, nullity=nullity, kernel=kernel)
 
 
 def poisson_tensor(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -157,16 +168,14 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi,
     """Admit (G, N, N) stacks of Theta and Upsilon and decide every point at momentum pi.
 
     Point by point the checks and results of DeformedStructure, degeneracy and
-    poisson_tensor, from one stacked SVD and one stacked inverse.
+    poisson_tensor, from one stacked ``_nullity`` and one stacked inverse.
     """
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
     _admit(algebra, Theta, Upsilon)
     C = np.einsum('m,mab->ab', np.asarray(pi, float), algebra.f) + Theta
-    M = _omega_blocks(C, Upsilon)
-    _, s, _ = np.linalg.svd(M)
-    rank = _rank(s, rank_tol)
-    Pi = np.linalg.inv(M[rank == M.shape[-1]])
-    return GridReport(rank=rank, nullity=M.shape[-1] - rank,
+    nullity = _nullity(np.eye(algebra.dim) + C @ Upsilon, rank_tol)
+    Pi = np.linalg.inv(_omega_blocks(C, Upsilon)[nullity == 0])
+    return GridReport(rank=2 * algebra.dim - nullity, nullity=nullity,
                       poisson=0.5 * (Pi - Pi.transpose(0, 2, 1)))
 
 

@@ -249,6 +249,58 @@ class TestSimulate:
         assert not traj.exists()
 
 
+    def test_monitor_overflow_exit_2(self, tmp_path, capsys):
+        # an equilibrium at |pi| = 1e200: every state is finite, but the energy overflows
+        traj, summary = tmp_path / "traj.csv", tmp_path / "summary.json"
+        assert run(["simulate", "--algebra", "so3", "--inertia", "diag:1,2,3",
+                    "--pi0", "1e200,0,0", "--T", "1", "--dt", "0.5",
+                    "-o", traj, "--summary", summary]) == 2
+        assert capsys.readouterr().err == "error: non-finite energy monitor at t = 0\n"
+        assert not traj.exists() and not summary.exists()
+
+
+class TestOneVerdict:
+    def test_omega_and_simulate_agree_across_the_cut(self, tmp_path):
+        # abelian2, Theta = J, Upsilon = (1 - eps) J, pi = 0: K = eps I, outside the certificate
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        deform, report = tmp_path / "deformation.json", tmp_path / "omega.json"
+        codes = set()
+        for eps in np.logspace(-12, -8, 17):
+            deform.write_text(json.dumps({"Theta": J.tolist(), "Upsilon": ((1 - eps) * J).tolist()}))
+            assert run(["omega", "--algebra", "abelian2", "--deformation", deform,
+                        "--pi", "0,0", "-o", report]) == 0
+            code = run(["simulate", "--algebra", "abelian2", "--deformation", deform,
+                        "--inertia", "identity", "--pi0", "0,0", "--T", 0.1, "--dt", 0.01,
+                        "-o", tmp_path / "traj.csv", "--summary", tmp_path / "summary.json"])
+            assert (read_json(report)["nullity"] > 0) == (code == 3), eps
+            codes.add(code)
+        assert codes == {0, 3}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--algebra", "so3", "--tol", "1e-9"],
+        ["isotropy", "--algebra", "so3", "--rank-tol", "1e-3"],
+        ["validate", "--algebra", "so3", "--rank-tol", "1e-3"],
+        ["omega", "--algebra", "so3", "--tol", "1e-9"],
+    ])
+    def test_options_only_where_read(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "1", "2.5", "-1e-3", "nan"])
+    def test_rank_tol_outside_unit_interval_exit_2(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["omega", "--algebra", "so3", f"--rank-tol={value}"])
+        assert info.value.code == 2
+        assert "error: --rank-tol must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_reports_are_strict_json(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.emit_report({"drift": float("nan")}, tmp_path / "report.json")
+
+
 class TestSweep:
     def test_fg_hyperbola(self, tmp_path):
         out = tmp_path / "grid.csv"

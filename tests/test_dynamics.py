@@ -33,6 +33,12 @@ class TestInertiaTensor:
         with pytest.raises(ValueError):
             InertiaTensor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_symmetry_is_relative_to_the_scale_of_the_inertia(self):
+        A = np.array([[1e6, 2.0], [2.0 + 1e-7, 3e6]])  # asymmetry 1e-7 on entries of 3e6
+        assert np.array_equal(InertiaTensor(A).I_inv, A)
+        with pytest.raises(ValueError, match="inertia must be symmetric"):
+            InertiaTensor(np.array([[1.0, 2.0], [2.0 + 1e-11, 3.0]]))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             InertiaTensor.diagonal([1.0, -0.5])

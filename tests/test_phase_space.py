@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from liedeform.algebra import abelian, heisenberg, sl2r, so3
-from liedeform.cohomology import delta1_scalar
+from liedeform.cohomology import cocycle_residual, delta1_scalar, is_symplectic_cocycle
+from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
 from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
                               NotExact, UpsilonPresent)
-from liedeform.phase_space import (DeformedStructure, closedness_residual,
+from liedeform.phase_space import (RANK_TOL, DeformedStructure, closedness_residual,
                                    darboux_shift, decide_grid, degeneracy,
                                    lie_poisson_block, load_deformation,
                                    omega_matrix, poisson_tensor)
@@ -68,6 +69,20 @@ class TestStructureAdmission:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NotACocycle, match="residual nan"):
                 DeformedStructure(sl2r(), Theta)
+
+    def test_antisymmetry_is_relative_to_the_scale_of_theta(self):
+        # Theta = delta xi with |xi| = 1e6 and asymmetric noise of 1e-10 (relative 1e-16)
+        noise = np.random.default_rng(5).normal(size=(3, 3))
+        noise *= 1e-10 / np.max(np.abs(noise + noise.T))
+        Theta = delta1_scalar(so3(), [0.0, 0.0, 1e6]) + noise
+        S = DeformedStructure(so3(), Theta)
+        assert cocycle_residual(so3(), Theta) < 1e-9  # delta2 admits what _admit admits
+        assert is_symplectic_cocycle(so3(), Theta)
+        assert degeneracy(S, np.zeros(3)).nullity == 0
+        # relative asymmetry above 1e-12 is still rejected, with its residual and bound
+        with pytest.raises(NotAntisymmetric,
+                           match=r"Theta fails antisymmetry: residual 1\.000e-05 > 1\.000e-06"):
+            DeformedStructure(so3(), Theta + 1e5 * noise)
 
     def test_defaults_to_undeformed(self):
         S = DeformedStructure(so3())
@@ -163,6 +178,12 @@ class TestDegeneracy:
                 null_m = int(np.sum(s_m <= 1e-10 * s_m[0]))
                 null_k = int(np.sum(s_k <= 1e-10 * max(s_k[0], 1.0)))
                 assert null_m == null_k
+
+    @pytest.mark.parametrize("pi3", [1e5, 1e6])
+    def test_canonical_form_nondegenerate_at_large_momentum(self, pi3):
+        # Theta = Upsilon = 0: K = I exactly, and det M = 1 at every momentum
+        report = degeneracy(DeformedStructure(so3()), np.array([0.0, 0.0, pi3]))
+        assert (report.rank, report.nullity, report.kernel.shape) == (6, 0, (6, 0))
 
     def test_kernel_vectors_annihilate(self):
         S = fg_structure(1.0, 1.0)
@@ -272,6 +293,52 @@ class TestDecideGrid:
         Theta[bad_cocycle] = 0.0
         with pytest.raises(NotAntisymmetric, match=r"Upsilon has a non-finite entry nan at \(1, 0\)"):
             decide_grid(algebra, Theta, Upsilon, np.zeros(4))
+
+
+class TestOneNondegeneracyRule:
+    """decide_grid, degeneracy and the vector field share one verdict per point."""
+
+    @staticmethod
+    def points(algebra, rng, pi, size=30):
+        """Random points; a third with K = I + C Upsilon singular, a third 1e-3 away from it.
+
+        For N <= 3, C^2 = c c^T - |c|^2 I (N = 3) or -|c|^2 I (N = 2), with
+        |c|^2 = ||C||_F^2 / 2, so Upsilon = C / |c|^2 puts an eigenvalue -1 on
+        C Upsilon twice.
+        """
+        n = algebra.dim
+        if algebra.f.any():
+            Theta = delta1_scalar(algebra, rng.normal(size=(size, n)))
+        else:
+            Theta = np.array([random_antisymmetric(rng, n) for _ in range(size)])
+        Upsilon = np.array([0.5 * random_antisymmetric(rng, n) for _ in range(size)])
+        C = np.einsum('m,mab->ab', pi, algebra.f) + Theta
+        critical = C / (0.5 * np.sum(C * C, axis=(1, 2)))[:, None, None]
+        Upsilon[::3] = critical[::3]
+        Upsilon[1::3] = (1.0 + 1e-3) * critical[1::3]
+        return Theta, Upsilon
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 0.05])
+    def test_grid_pointwise_and_vector_field_agree(self, registry, rng, rank_tol):
+        seen = set()
+        for algebra in registry:
+            n = algebra.dim
+            pi = rng.normal(size=n)
+            Theta, Upsilon = self.points(algebra, rng, pi)
+            grid = decide_grid(algebra, Theta, Upsilon, pi, rank_tol=rank_tol)
+            assert np.all(grid.nullity % 2 == 0) and np.all(grid.rank + grid.nullity == 2 * n)
+            for T, U, nullity in zip(Theta, Upsilon, grid.nullity):
+                S = DeformedStructure(algebra, T, U)
+                assert degeneracy(S, pi, rank_tol).nullity == nullity
+                if rank_tol == RANK_TOL:
+                    try:
+                        hamiltonian_vector_field(S, InertiaTensor.identity(n), pi)
+                        field_degenerate = False
+                    except DegenerateForm:
+                        field_degenerate = True
+                    assert field_degenerate == (nullity > 0)
+            seen.update(grid.nullity.tolist())
+        assert seen == {0, 2}
 
 
 class TestClosedness:
