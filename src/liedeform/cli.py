@@ -1,14 +1,16 @@
 """Command-line front end: validate / cohomology / omega / isotropy / simulate / sweep.
 
 Structured reports go out as JSON, trajectories and sweeps as CSV.  JSON
-floats are shortest round-trip reprs and CSV cells carry 17 significant
-digits, so files round-trip bit-faithfully.  Exit codes: 0 success,
-2 validation failure, 3 degenerate-form abort.
+floats are shortest round-trip reprs.  A CSV file is a header, then one row per
+time or grid point: cells separated by commas and never quoted, lines ending in
+"\\r\\n", floats with 17 significant digits, so files round-trip bit-faithfully.
+Both Poisson cells of a sweep row are empty where the form is degenerate, and on
+every row when N < 2.  Exit codes: 0 success, 2 validation failure,
+3 degenerate-form abort.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -47,8 +49,17 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+#: rows per write, so memory does not grow with the file
+_CSV_BLOCK = 4096
+
+
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray], row_format: str):
+    """Write the header, then row k as ``row_format % (entry k of each column)``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
+            fh.write("".join([row_format % row for row in zip(*block)]))
 
 
 def emit_report(report: dict, output: str | None):
@@ -70,8 +81,12 @@ def input_hash(payload) -> str:
 # argument parsing / resolution
 # ---------------------------------------------------------------------------
 
-def parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",")], dtype=float)
+def parse_vector(text: str, n: int, option: str) -> np.ndarray:
+    """The n comma-separated floats given to ``option``."""
+    values = np.array([float(tok) for tok in text.split(",")], dtype=float)
+    if values.size != n:
+        raise ValueError(f"{option}: expected {n} components, got {values.size}")
+    return values
 
 
 def resolve_algebra(spec: str):
@@ -93,7 +108,8 @@ def resolve_structure(args, algebra) -> DeformedStructure:
     if getattr(args, "deformation", None):
         return load_deformation(args.deformation, algebra)
     if getattr(args, "xi", None):
-        return DeformedStructure(algebra, delta1_scalar(algebra, parse_vector(args.xi)))
+        xi = parse_vector(args.xi, algebra.dim, "--xi")
+        return DeformedStructure(algebra, delta1_scalar(algebra, xi))
     return DeformedStructure(algebra)
 
 
@@ -101,7 +117,7 @@ def resolve_inertia(spec: str, n: int) -> InertiaTensor:
     if spec == "identity":
         return InertiaTensor.identity(n)
     if spec.startswith("diag:"):
-        return InertiaTensor.diagonal(parse_vector(spec[len("diag:"):]))
+        return InertiaTensor.diagonal(parse_vector(spec[len("diag:"):], n, "--inertia"))
     with open(spec) as fh:
         data = json.load(fh)
     I_inv = np.asarray(data["I_inv"] if isinstance(data, dict) else data, float)
@@ -155,7 +171,7 @@ def cmd_cohomology(args) -> int:
 def cmd_omega(args) -> int:
     algebra = resolve_algebra(args.algebra)
     structure = resolve_structure(args, algebra)
-    pi = parse_vector(args.pi) if args.pi else np.zeros(algebra.dim)
+    pi = parse_vector(args.pi, algebra.dim, "--pi") if args.pi else np.zeros(algebra.dim)
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
     poisson = (poisson_tensor(structure, pi, rank_tol=args.rank_tol) if report.nullity == 0
                else None)
@@ -185,7 +201,7 @@ def cmd_simulate(args) -> int:
     algebra = resolve_algebra(args.algebra)
     structure = resolve_structure(args, algebra)
     inertia = resolve_inertia(args.inertia, algebra.dim)
-    pi0 = parse_vector(args.pi0)
+    pi0 = parse_vector(args.pi0, algebra.dim, "--pi0")
     rep = None
     if args.rep == "so3":
         rep = so3_vector_representation()
@@ -201,12 +217,9 @@ def cmd_simulate(args) -> int:
                      extra_monitors=extra)
 
     channel_names = sorted(traj.monitors)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"pi_{i}" for i in range(algebra.dim)] + channel_names)
-        writer.writerows([_fmt(traj.times[k])] + [_fmt(v) for v in traj.pis[k]]
-                         + [_fmt(traj.monitors[name][k]) for name in channel_names]
-                         for k in range(len(traj.times)))
+    columns = [traj.times, *traj.pis.T, *(traj.monitors[name] for name in channel_names)]
+    _write_csv(args.output, ["t"] + [f"pi_{i}" for i in range(algebra.dim)] + channel_names,
+               columns, ",".join(["%.17g"] * len(columns)) + "\r\n")
 
     _emit({"algebra": algebra.name, "energy_drift": traj.drift("energy"),
            "casimir_drift": traj.drift("casimir") if "casimir" in traj.monitors else None,
@@ -224,8 +237,7 @@ def parse_axis(text: str):
         kind, idx = head.split(":")
         indices = tuple(int(tok) for tok in idx.split(","))
         start, stop, num = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(num)) if int(num) > 0 \
-            else np.array([])
+        values = np.linspace(float(start), float(stop), int(num))  # num < 0 raises
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad axis spec {text!r}: {exc}") from exc
     if kind not in ("theta", "upsilon", "xi"):
@@ -240,7 +252,7 @@ def parse_axis(text: str):
 def cmd_sweep(args) -> int:
     algebra = resolve_algebra(args.algebra)
     base = resolve_structure(args, algebra)
-    pi = parse_vector(args.pi0) if args.pi0 else np.zeros(algebra.dim)
+    pi = parse_vector(args.pi0, algebra.dim, "--pi0") if args.pi0 else np.zeros(algebra.dim)
     axes = [parse_axis(spec) for spec in args.axis]
     n = algebra.dim
     for kind, indices, _ in axes:
@@ -263,17 +275,17 @@ def cmd_sweep(args) -> int:
         Theta = Theta + delta1_scalar(algebra, xi)
     report = decide_grid(algebra, Theta, Upsilon, pi, rank_tol=args.rank_tol)
 
-    brackets = {flat: [_fmt(Pi[0, 1]), _fmt(Pi[n, n + 1])]
-                for flat, Pi in zip(np.flatnonzero(report.nullity == 0), report.poisson) if n >= 2}
+    # the two Poisson cells as one string: both empty where degenerate, and everywhere if N < 2
+    brackets = np.full(size, ",", dtype=object)
+    if n >= 2:
+        Pi = report.poisson
+        brackets[report.nullity == 0] = ["%.17g,%.17g" % qp for qp in
+                                         zip(Pi[:, 0, 1].tolist(), Pi[:, n, n + 1].tolist())]
     header = (["index"] + [f"{kind}_" + "_".join(map(str, indices)) for kind, indices, _ in axes]
               + ["rank", "nullity", "poisson_qq", "poisson_pp"])
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([str(flat)] + [_fmt(column[flat]) for column in columns]
-                         + [str(report.rank[flat]), str(report.nullity[flat])]
-                         + brackets.get(flat, ["", ""])
-                         for flat in range(size))
+    _write_csv(args.output, header, [np.arange(size), *columns, report.rank, report.nullity,
+                                     brackets],
+               "%d," + "%.17g," * len(columns) + "%d,%d,%s\r\n")
     return EXIT_OK
 
 

@@ -64,6 +64,11 @@ def delta2(algebra: LieAlgebra, Theta, tol: float = 1e-12) -> np.ndarray:
     residual, bound = _transpose_residual(Theta, tol)
     if not np.all(residual <= bound):
         raise NotAntisymmetric("Theta must be antisymmetric")
+    return _delta2(algebra, Theta)
+
+
+def _delta2(algebra: LieAlgebra, Theta: np.ndarray) -> np.ndarray:
+    """delta2 of a float Theta (stack) whose antisymmetry the caller has already checked."""
     return (-np.einsum('...kc,kab->...abc', Theta, algebra.f)
             + np.einsum('...kb,kac->...abc', Theta, algebra.f)
             - np.einsum('...ka,kbc->...abc', Theta, algebra.f))

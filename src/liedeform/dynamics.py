@@ -132,6 +132,16 @@ def _rk4_step(rhs, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_count(T: float, dt: float) -> int:
+    """Number of RK4 steps of size dt up to time T; rejects a dt or T no run can take."""
+    T, dt = float(T), float(dt)
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"T must be non-negative and finite, got {T!r}")
+    return int(round(T / dt))
+
+
 def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
               T: float, dt: float, g0=None, rep=None,
               extra_monitors: dict | None = None) -> Trajectory:
@@ -152,7 +162,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     """
     pi0 = np.asarray(pi0, dtype=float)
     n = pi0.size
-    steps = int(round(T / dt))
+    steps = _step_count(T, dt)
     times = dt * np.arange(steps + 1)
 
     if rep is None:
@@ -172,7 +182,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
             gdot = y[n:].reshape(d, d) @ (eta @ rep_flat).reshape(d, d)
             return np.concatenate([pidot, gdot.ravel()])
 
-    rows = np.empty((max(steps, 0) + 1, y.size))
+    rows = np.empty((steps + 1, y.size))
     rows[0] = y
     kept, degenerate_at = 1, None
     # a blow-up overflows silently: the finiteness checks below report it as StepRejected
@@ -219,7 +229,7 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
     if pi0.shape != (3,):
         raise ValueError("the rigid-body oracle is three-dimensional")
     pi = pi0.copy()
-    steps = int(round(T / dt))
+    steps = _step_count(T, dt)
     times = dt * np.arange(steps + 1)
 
     def rhs(p):

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, _transpose_residual
-from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, admission_tol, cocycle_residual,
-                         delta1_scalar, solve_primitive)
+from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, _delta2, admission_tol,
+                         cocycle_residual, delta1_scalar, solve_primitive)
 from .errors import DegenerateForm, NotACocycle, NotAntisymmetric, UpsilonPresent
 
 #: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
@@ -47,7 +47,7 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: flo
     residual, bound = _transpose_residual(pair, tol)
     asymmetric = ~(residual <= bound)
     first = np.argmax(np.append(asymmetric.any(axis=1), True))  # first asymmetric point, or G
-    res = cocycle_residual(algebra, Theta[:first])
+    res = np.max(np.abs(_delta2(algebra, Theta[:first])), axis=(-3, -2, -1))
     # no admission tolerance lies below the smaller constant: only points above it can fail
     suspect = np.flatnonzero(~(res <= min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL)))
     failing = (suspect[~(res[suspect] <= admission_tol(algebra, Theta[suspect]))]

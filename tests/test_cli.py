@@ -258,6 +258,35 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: non-finite energy monitor at t = 0\n"
         assert not traj.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("T, dt, message", [
+        ("1", "0", "dt must be positive and finite, got 0.0"),
+        ("1", "-0.1", "dt must be positive and finite, got -0.1"),
+        ("-1", "0.1", "T must be non-negative and finite, got -1.0"),
+    ])
+    def test_bad_step_or_time_exit_2(self, tmp_path, capsys, T, dt, message):
+        traj, summary = tmp_path / "traj.csv", tmp_path / "summary.json"
+        assert run(["simulate", "--algebra", "so3", "--inertia", "identity",
+                    "--pi0", "1,0,0", "--T", T, "--dt", dt,
+                    "-o", traj, "--summary", summary]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not traj.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "--pi", "1,2"], "--pi: expected 3 components, got 2"),
+    (["omega", "--xi", "1,2,3,4"], "--xi: expected 3 components, got 4"),
+    (["sweep", "--pi0", "1", "--axis", "xi:0=0:1:2"], "--pi0: expected 3 components, got 1"),
+    (["simulate", "--pi0", "1,2", "--inertia", "identity", "--T", "1", "--dt", "0.1"],
+     "--pi0: expected 3 components, got 2"),
+    (["simulate", "--pi0", "1,2,3", "--inertia", "diag:1,2", "--T", "1", "--dt", "0.1"],
+     "--inertia: expected 3 components, got 2"),
+])
+def test_wrong_vector_length_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([argv[0], "--algebra", "so3", *argv[1:], "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
 
 class TestOneVerdict:
     def test_omega_and_simulate_agree_across_the_cut(self, tmp_path):
@@ -342,6 +371,10 @@ class TestSweep:
             capsys.readouterr()
             assert run(["sweep", "--algebra", "so3", "--axis", axis, "--output", out]) == 2
             assert "must be distinct and in 0..2" in capsys.readouterr().err
+        # a negative count is a bad spec, not an empty grid (a count of 0 is one)
+        assert run(["sweep", "--algebra", "abelian2", "--axis", "theta:0,1=0:2:-3",
+                    "--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: bad axis spec 'theta:0,1=0:2:-3'")
         assert not out.exists()
 
     def test_rejects_non_cocycle_exit_2(self, tmp_path, capsys):

@@ -294,6 +294,26 @@ class TestIntegrate:
                 integrate(S, InertiaTensor.diagonal([1.0, 2.0, 3.0]),
                           [1e200, 3e200, -2e200], T=1.0, dt=0.5, rep=rep)
 
+    @pytest.mark.parametrize("T, dt, message", [
+        (1.0, 0.0, "dt must be positive and finite, got 0.0"),
+        (1.0, -0.1, "dt must be positive and finite, got -0.1"),
+        (1.0, np.nan, "dt must be positive and finite, got nan"),
+        (1.0, np.inf, "dt must be positive and finite, got inf"),
+        (-1.0, 0.1, "T must be non-negative and finite, got -1.0"),
+        (np.inf, 0.1, "T must be non-negative and finite, got inf"),
+        (np.nan, 0.1, "T must be non-negative and finite, got nan"),
+    ])
+    def test_rejects_step_and_time_no_run_can_take(self, T, dt, message):
+        for run in (lambda: integrate(DeformedStructure(so3()), RIGID_BODY, [1.0, 0.1, 0.0], T, dt),
+                    lambda: euler_reference(RIGID_BODY, [1.0, 0.1, 0.0], T, dt)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == message
+
+    def test_zero_time_keeps_the_initial_state(self):
+        traj = integrate(DeformedStructure(so3()), RIGID_BODY, [1.0, 0.1, 0.0], T=0.0, dt=0.1)
+        assert traj.times.tolist() == [0.0] and traj.pis.tolist() == [[1.0, 0.1, 0.0]]
+
     def test_convergence_order(self):
         S = DeformedStructure(so3())
         drift = {}

@@ -12,6 +12,8 @@ import os
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liedeform.cli import main
 
@@ -36,6 +38,13 @@ CASES = {
                         "--pi0", "0.1,0.2,0.3"],
     "sweep_empty": ["sweep", "--algebra", "abelian2", "--axis", "theta:0,1=0:2:0",
                     "--axis", "upsilon:0,1=0:1:3"],
+    # N < 2: every Poisson cell is empty
+    "sweep_abelian1": ["sweep", "--algebra", "abelian1", "--pi0", "0.25",
+                       "--axis", "xi:0=-1:1:5"],
+    # 41 x 41 cells from 1e-300 to 1e10 in magnitude; a third of the points degenerate
+    "sweep_so3_magnitudes": ["sweep", "--algebra", "so3", "--pi0", "0.1,1e10,-3",
+                             "--axis", "xi:0=-1e-300:3e5:41",
+                             "--axis", "upsilon:1,2=-1e-5:3e-5:41"],
     # reports on non-integer Theta (relative admission tolerance)
     "omega_so3_fractional": ["omega", "--algebra", "so3",
                              "--deformation", "so3-theta-fractional.json",
@@ -52,6 +61,9 @@ CASES = {
     "simulate_so3_xi_rep": ["simulate", "--algebra", "so3", "--xi", "0.1,-0.2,0.3",
                             "--inertia", "diag:1,0.5,0.25", "--pi0", "1,0.1,-0.3",
                             "--T", "1", "--dt", "0.025", "--rep", "so3"],
+    "simulate_so3_rep_isotropy": ["simulate", "--algebra", "so3", "--xi", "0,0,0.5",
+                                  "--inertia", "diag:1,1,0.5", "--pi0", "1,0.1,-0.3",
+                                  "--T", "3", "--dt", "0.01", "--rep", "so3"],
     "simulate_sl2r_upsilon": ["simulate", "--algebra", "sl2r", "--deformation", "sl2r-upsilon.json",
                               "--inertia", "diag:1,2,2", "--pi0", "0.3,-0.5,0.8",
                               "--T", "2", "--dt", "0.05"],
@@ -93,6 +105,17 @@ def test_output_is_byte_identical(case, tmp_path):
         with open(path, "rb") as fh:
             expected = fh.read()
         assert out.read_bytes() == expected, os.path.basename(path)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)  # smallest subnormal
+@example(-2.225073858507201e-308)  # largest subnormal
+@example(1.7976931348623157e308)
+def test_printf_17g_equals_format_spec(x):
+    # CSV rows are formatted with "%", cells used to be f-strings: every finite double agrees
+    assert "%.17g" % x == f"{x:.17g}"
 
 
 if __name__ == "__main__":

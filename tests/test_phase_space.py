@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liedeform.algebra import abelian, heisenberg, sl2r, so3
+from liedeform import cohomology, phase_space
+from liedeform.algebra import _transpose_residual, abelian, heisenberg, sl2r, so3
 from liedeform.cohomology import cocycle_residual, delta1_scalar, is_symplectic_cocycle
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
 from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
@@ -103,6 +104,21 @@ class TestStructureAdmission:
             Upsilon = np.zeros((3, 3))
             Upsilon[0, 2], Upsilon[2, 0] = entry, -entry
             assert DeformedStructure(so3(), None, Upsilon).upsilon_zero is zero
+
+    def test_checks_antisymmetry_once(self, monkeypatch, rng):
+        calls = []
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return _transpose_residual(A, *args, **kwargs)
+
+        monkeypatch.setattr(phase_space, "_transpose_residual", counting)
+        monkeypatch.setattr(cohomology, "_transpose_residual", counting)
+        algebra = so3()
+        DeformedStructure(algebra, delta1_scalar(algebra, [0.1, 0.2, 0.3]))
+        decide_grid(algebra, delta1_scalar(algebra, rng.normal(size=(5, 3))),
+                    np.zeros((5, 3, 3)), np.zeros(3))
+        assert calls == [(1, 2, 3, 3), (5, 2, 3, 3)]  # the (Theta, Upsilon) pair, once per call
 
 
 class TestOmegaMatrix:
