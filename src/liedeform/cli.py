@@ -49,8 +49,8 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-#: rows per write, so memory does not grow with the file
-_CSV_BLOCK = 4096
+#: rows per write: the Python floats and text of a file are held one block at a time
+_CSV_BLOCK = 1024
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray], row_format: str):

@@ -139,7 +139,10 @@ def _step_count(T: float, dt: float) -> int:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 <= T < np.inf:
         raise ValueError(f"T must be non-negative and finite, got {T!r}")
-    return int(round(T / dt))
+    ratio = T / dt
+    if not ratio < np.inf:  # a subnormal dt overflows T / dt
+        raise ValueError(f"T / dt must be finite, got T = {T!r}, dt = {dt!r}")
+    return int(round(ratio))
 
 
 def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,

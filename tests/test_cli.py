@@ -262,6 +262,7 @@ class TestSimulate:
         ("1", "0", "dt must be positive and finite, got 0.0"),
         ("1", "-0.1", "dt must be positive and finite, got -0.1"),
         ("-1", "0.1", "T must be non-negative and finite, got -1.0"),
+        ("1", "1e-320", "T / dt must be finite, got T = 1.0, dt = 1e-320"),
     ])
     def test_bad_step_or_time_exit_2(self, tmp_path, capsys, T, dt, message):
         traj, summary = tmp_path / "traj.csv", tmp_path / "summary.json"

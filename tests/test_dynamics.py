@@ -302,6 +302,7 @@ class TestIntegrate:
         (-1.0, 0.1, "T must be non-negative and finite, got -1.0"),
         (np.inf, 0.1, "T must be non-negative and finite, got inf"),
         (np.nan, 0.1, "T must be non-negative and finite, got nan"),
+        (1.0, 1e-320, "T / dt must be finite, got T = 1.0, dt = 1e-320"),
     ])
     def test_rejects_step_and_time_no_run_can_take(self, T, dt, message):
         for run in (lambda: integrate(DeformedStructure(so3()), RIGID_BODY, [1.0, 0.1, 0.0], T, dt),

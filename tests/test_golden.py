@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from liedeform import cli
 from liedeform.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -105,6 +106,17 @@ def test_output_is_byte_identical(case, tmp_path):
         with open(path, "rb") as fh:
             expected = fh.read()
         assert out.read_bytes() == expected, os.path.basename(path)
+
+
+@pytest.mark.parametrize("case", ["sweep_so3_magnitudes", "simulate_so3_rep_isotropy"])
+def test_blocks_join_byte_identically(case, tmp_path, monkeypatch):
+    # 7 divides neither 1,681 nor 301 rows: many full blocks, then a short one
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    goldens = golden_paths(case)
+    outputs = [tmp_path / os.path.basename(path) for path in goldens]
+    assert run_case(case, outputs) == 0
+    with open(goldens[0], "rb") as fh:
+        assert outputs[0].read_bytes() == fh.read()
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
