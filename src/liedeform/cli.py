@@ -121,6 +121,8 @@ def resolve_inertia(spec: str, n: int) -> InertiaTensor:
     with open(spec) as fh:
         data = json.load(fh)
     I_inv = np.asarray(data["I_inv"] if isinstance(data, dict) else data, float)
+    if I_inv.shape != (n, n):
+        raise ValueError(f"--inertia: expected a {n} x {n} matrix, got shape {I_inv.shape}")
     return InertiaTensor(I_inv)
 
 
@@ -208,6 +210,9 @@ def cmd_simulate(args) -> int:
     elif args.rep:
         with open(args.rep) as fh:
             rep = np.asarray(json.load(fh), float)
+        if rep.ndim != 3 or rep.shape[0] != algebra.dim or not 1 <= rep.shape[1] == rep.shape[2]:
+            raise ValueError(f"--rep: expected {algebra.dim} d x d generators with d >= 1, "
+                             f"got shape {rep.shape}")
 
     # linear observables from the residual-symmetry directions
     sub = isotropy_subalgebra(algebra, structure.Theta, structure.Upsilon, inertia.I_inv)

@@ -22,6 +22,17 @@ from .phase_space import DeformedStructure, _nullity, lie_poisson_block
 #: singular value of K then lies in [0.1, 1.9], far above _nullity's cut RANK_TOL * 1.9
 _CERTIFIED_SQ = 0.81
 
+# The LAPACK gufunc (LU with partial pivoting) that np.linalg.solve calls, without that
+# wrapper's array wrapping, type resolution and errstate: a third of an Upsilon != 0 step.
+# The wrapper's one extra behaviour, LinAlgError('Singular matrix') on an exactly zero
+# pivot, cannot fire in hamiltonian_vector_field: K reaches the solve only after the
+# certificate or _nullity passed it, so sigma_min(K) > RANK_TOL * sigma_max(K).  A zero
+# pivot makes K + E singular for the LU's backward error |E| <~ N eps growth |K|, which
+# needs growth above about RANK_TOL / (N eps) = 1e5; partial pivoting grows elements by
+# at most 2**(N - 1) = 512 at N <= 10.  A NaN in K makes _nullity's SVD raise first; an
+# inf gives the same NaNs from both routines.
+_solve = np.linalg._umath_linalg.solve1
+
 
 @dataclass(frozen=True)
 class InertiaTensor:
@@ -66,20 +77,26 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
     ||C Upsilon||_F^2 <= 0.81, K is nondegenerate by the certificate in the phase_space
     docstring and no SVD is made; otherwise DegenerateForm is raised where
     phase_space._nullity finds K degenerate at RANK_TOL, the rule ``omega`` applies.
+    A K that passes is solved by LAPACK's gufunc directly (``_solve``): by the argument
+    at its binding it cannot meet the exactly singular K that np.linalg.solve rejects.
+
+    At N <= 10 numpy's per-call overhead, not arithmetic, sets the cost, so every
+    product is ``ndarray.dot``: the BLAS call ``@`` makes, with the same bytes.  The
+    negation stays on the matrix, (-C).dot(v): -(C.dot(v)) flips the sign of exact zeros.
     """
     pi = np.asarray(pi, float)
     C = lie_poisson_block(structure, pi)
-    velocity = inertia.I_inv @ pi
+    velocity = inertia.I_inv.dot(pi)
     if structure.upsilon_zero:
-        return velocity, -C @ velocity
-    X = C @ structure.Upsilon
+        return velocity, (-C).dot(velocity)
+    X = C.dot(structure.Upsilon)
     K = structure._eye + X
     x = X.ravel()
-    # not (x @ x <= ...): a NaN or inf in K fails the certificate and reaches the SVD
-    if not x @ x <= _CERTIFIED_SQ and _nullity(K):
+    # not (x.x <= ...): a NaN or inf in K fails the certificate and reaches the SVD
+    if not x.dot(x) <= _CERTIFIED_SQ and _nullity(K):
         raise DegenerateForm("two-form degenerate at this momentum")
-    pidot = np.linalg.solve(K, -C @ velocity)
-    eta = velocity + structure.Upsilon @ pidot
+    pidot = _solve(K, (-C).dot(velocity))
+    eta = velocity + structure.Upsilon.dot(pidot)
     return eta, pidot
 
 
@@ -107,9 +124,7 @@ def _casimir_monitor(structure: DeformedStructure):
     quantity is then the inverse-Killing quadratic of sigma = pi - xi.
     """
     algebra = structure.algebra
-    if not is_semisimple(algebra):
-        return None
-    if not structure.upsilon_zero:
+    if not structure.upsilon_zero or not is_semisimple(algebra):
         return None
     try:
         xi, _, _ = solve_primitive(algebra, structure.Theta)
@@ -182,7 +197,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
 
         def rhs(y):
             eta, pidot = hamiltonian_vector_field(structure, inertia, y[:n])
-            gdot = y[n:].reshape(d, d) @ (eta @ rep_flat).reshape(d, d)
+            gdot = y[n:].reshape(d, d).dot(eta.dot(rep_flat).reshape(d, d))
             return np.concatenate([pidot, gdot.ravel()])
 
     rows = np.empty((steps + 1, y.size))
@@ -200,7 +215,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
                 raise StepRejected(f"non-finite state at t = {times[k + 1]:.6g}")
             if rep is not None:
                 w, _, vh = np.linalg.svd(y[n:].reshape(d, d))
-                y[n:] = (w @ vh).ravel()  # reproject onto O(d)
+                y[n:] = w.dot(vh).ravel()  # reproject onto O(d)
             rows[kept] = y
             kept += 1
 

@@ -118,7 +118,7 @@ class DeformedStructure:
 def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:
     """Top-left block C(pi) = pi_m f[m] + Theta."""
     n = structure.algebra.dim
-    return (np.asarray(pi, float) @ structure._f_flat).reshape(n, n) + structure.Theta
+    return np.asarray(pi, float).dot(structure._f_flat).reshape(n, n) + structure.Theta
 
 
 def omega_matrix(structure: DeformedStructure, pi) -> np.ndarray:

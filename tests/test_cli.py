@@ -289,6 +289,34 @@ def test_wrong_vector_length_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+SIMULATE = ["simulate", "--pi0", "1,0,0", "--T", "1", "--dt", "0.1"]
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (SIMULATE + ["--inertia"], [[1, 0], [0, 1]],
+     "--inertia: expected a 3 x 3 matrix, got shape (2, 2)"),
+    (SIMULATE + ["--inertia"], {"I_inv": [1, 2, 3]},
+     "--inertia: expected a 3 x 3 matrix, got shape (3,)"),
+    (["isotropy", "--inertia"], [[1, 0], [0, 1]],
+     "--inertia: expected a 3 x 3 matrix, got shape (2, 2)"),
+    (SIMULATE + ["--inertia", "identity", "--rep"], [[[0, 1], [-1, 0]]],
+     "--rep: expected 3 d x d generators with d >= 1, got shape (1, 2, 2)"),
+    (SIMULATE + ["--inertia", "identity", "--rep"], [[[0, 1, 0], [-1, 0, 0]]] * 3,
+     "--rep: expected 3 d x d generators with d >= 1, got shape (3, 2, 3)"),
+    (SIMULATE + ["--inertia", "identity", "--rep"], [[[]], [[]], [[]]],
+     "--rep: expected 3 d x d generators with d >= 1, got shape (3, 1, 0)"),
+    (SIMULATE + ["--inertia", "identity", "--rep"], [[], [], []],
+     "--rep: expected 3 d x d generators with d >= 1, got shape (3, 0)"),
+])
+def test_wrong_matrix_shape_exit_2(tmp_path, capsys, argv, content, message):
+    # file matrices are checked against the algebra before numpy can meet them
+    path, out = tmp_path / "matrix.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    assert run([argv[0], "--algebra", "so3", *argv[1:], path, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestOneVerdict:
     def test_omega_and_simulate_agree_across_the_cut(self, tmp_path):
         # abelian2, Theta = J, Upsilon = (1 - eps) J, pi = 0: K = eps I, outside the certificate

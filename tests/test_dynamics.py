@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import polar
 
 from liedeform import dynamics
-from liedeform.algebra import (LieAlgebra, abelian, ad_matrix, is_semisimple, killing_form,
-                               sl2r, so3)
+from liedeform.algebra import (LieAlgebra, abelian, ad_matrix, get_algebra, is_semisimple,
+                               killing_form, sl2r, so3)
 from liedeform.cohomology import delta1_scalar, solve_primitive
 from liedeform.dynamics import (InertiaTensor, _rk4_step, euler_reference, hamiltonian,
                                 hamiltonian_vector_field, integrate,
@@ -122,6 +123,32 @@ class TestHamiltonianVectorField:
                 assert np.max(np.abs(eta - zeta[:n])) < 1e-10
                 assert np.max(np.abs(pidot - zeta[n:])) < 1e-10
 
+    @pytest.mark.parametrize("name", ["heisenberg", "abelian2", "se2"])
+    def test_bytes_of_the_plain_formulas(self, rng, name):
+        # Theta = 0 on these bases gives exact zeros, and -(C v) would flip their signs
+        algebra = get_algebra(name)
+        n = algebra.dim
+        inertia = InertiaTensor.diagonal(rng.uniform(0.5, 2.0, n))
+        U = 0.3 * (lambda A: A - A.T)(rng.normal(size=(n, n)))
+        momenta = [np.array(p, float) for p in itertools.product((-1, 0, 1, 2), repeat=n)]
+        momenta += list(rng.normal(size=(20, n)))
+        zeros = 0
+        for Upsilon in (None, U):
+            S = DeformedStructure(algebra, None, Upsilon)
+            for pi in momenta:
+                C = (pi @ algebra.f.reshape(n, n * n)).reshape(n, n) + S.Theta
+                v = inertia.I_inv @ pi
+                if Upsilon is None:
+                    eta, pidot = v, (-C) @ v
+                else:
+                    pidot = np.linalg.solve(np.eye(n) + C @ U, (-C) @ v)
+                    eta = v + U @ pidot
+                zeros += np.count_nonzero(pidot == 0)
+                got = hamiltonian_vector_field(S, inertia, pi)
+                assert got[0].tobytes() == eta.tobytes()
+                assert got[1].tobytes() == pidot.tobytes()
+        assert zeros > 0
+
     def test_degenerate_raises(self):
         S = fg_structure(1.0, 1.0)
         with pytest.raises(DegenerateForm):
@@ -219,6 +246,18 @@ class TestNondegeneracyCertificate:
         # sigma_min <= RANK_TOL * max(sigma_max, 1) <= RANK_TOL * (1 + r)
         r = np.sqrt(dynamics._CERTIFIED_SQ)
         assert (1.0 + r) * RANK_TOL < 1e-6 * (1.0 - r)
+
+
+class TestSolveBinding:
+    def test_bytes_of_np_linalg_solve(self, rng):
+        # well-conditioned K, and K with sigma_min / sigma_max = 2 RANK_TOL, just above the cut
+        for n in range(1, 11):
+            for cond in (1.0, 10.0, 1e4, 0.5 / RANK_TOL):
+                Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+                K = (Q1 * np.geomspace(1.0, 1.0 / cond, n)) @ Q2.T
+                for scale in (1e-3, 1.0, 1e3):
+                    b = scale * rng.normal(size=n)
+                    assert dynamics._solve(K, b).tobytes() == np.linalg.solve(K, b).tobytes()
 
 
 class TestIntegrate:
@@ -418,6 +457,23 @@ class TestFlatState:
                          rep=rep)
         assert len(traj.times) == 11
         assert len(calls) == 4 * 10
+
+    @pytest.mark.parametrize("with_rep", [False, True])
+    def test_no_np_linalg_solve_on_the_step(self, monkeypatch, rng, with_rep):
+        # the stepping path calls LAPACK's gufunc itself, not np.linalg.solve's wrapper
+        structure, inertia, pi0 = random_case(sl2r(), rng, with_upsilon=True)
+        rep = adjoint_representation(sl2r()) if with_rep else None
+        pis, gs = reference_integrate(structure, inertia, pi0, 50, 0.01, rep)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called while stepping")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        traj = integrate(structure, inertia, pi0, T=0.5, dt=0.01, rep=rep)
+        assert traj.complete
+        assert np.ascontiguousarray(traj.pis).tobytes() == pis.tobytes()
+        if rep is not None:
+            assert np.ascontiguousarray(traj.gs).tobytes() == gs.tobytes()
 
     @pytest.mark.parametrize("with_upsilon", [False, True])
     def test_bitwise_equal_to_reference_on_registry(self, registry, rng, with_upsilon):
