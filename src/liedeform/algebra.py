@@ -20,6 +20,9 @@ AXIOM_TOL = 1e-12
 #: relative threshold on |det B| for Cartan's semisimplicity criterion
 SEMISIMPLE_TOL = 1e-9
 
+#: relative bound of _transpose_residual's antisymmetry (or symmetry) check
+ANTISYMMETRY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -64,13 +67,13 @@ class LieAlgebra:
         object.__setattr__(self, 'f', f)
 
     @classmethod
-    def from_structure_constants(cls, name: str, f, tol: float = AXIOM_TOL) -> "LieAlgebra":
-        report = validate_algebra(f, tol)
+    def from_structure_constants(cls, name: str, f) -> "LieAlgebra":
+        report = validate_algebra(f)
         if not report.accepted:
             raise ValueError(
                 f"structure constants rejected: antisymmetry residual "
                 f"{report.antisymmetry_residual:.3e}, Jacobi residual "
-                f"{report.jacobi_residual:.3e} (tol {tol:.1e})")
+                f"{report.jacobi_residual:.3e} (tol {AXIOM_TOL:.1e})")
         f = np.asarray(f, dtype=float)
         return cls(name, f.shape[0], f)
 
@@ -79,8 +82,8 @@ class LieAlgebra:
         return np.einsum('mab,a,b->m', self.f, np.asarray(u, float), np.asarray(v, float))
 
 
-def _transpose_residual(A, tol: float = 1e-12, symmetric: bool = False):
-    """(max|A + A^T|, or max|A - A^T| if symmetric, and tol * max(1, max|A|)) per point.
+def _transpose_residual(A, symmetric: bool = False):
+    """(max|A + A^T| (max|A - A^T| if symmetric), ANTISYMMETRY_TOL * max(1, max|A|)).
 
     Reduces over the last two axes.  A point with a NaN or inf entry gets a NaN
     bound, and callers reject with ``not (residual <= bound)``, which NaN fails.
@@ -89,7 +92,7 @@ def _transpose_residual(A, tol: float = 1e-12, symmetric: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):  # entries near the float64 limit
         residual = np.abs(A - At if symmetric else A + At).max(axis=(-2, -1), initial=0.0)
     scale = np.abs(A).max(axis=(-2, -1), initial=0.0)
-    return residual, tol * np.where(scale < np.inf, np.maximum(scale, 1.0), np.nan)
+    return residual, ANTISYMMETRY_TOL * np.where(scale < np.inf, np.maximum(scale, 1.0), np.nan)
 
 
 def killing_form(algebra: LieAlgebra) -> np.ndarray:
@@ -98,17 +101,17 @@ def killing_form(algebra: LieAlgebra) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def is_semisimple(algebra: LieAlgebra, tol: float = SEMISIMPLE_TOL) -> bool:
+def is_semisimple(algebra: LieAlgebra) -> bool:
     """Cartan's criterion: nondegenerate Killing form.
 
-    Scale-relative: |det B| > tol * (max |B|)^N, with an identically zero
+    Scale-relative: |det B| > SEMISIMPLE_TOL * (max |B|)^N, with an identically zero
     Killing form always judged non-semisimple.
     """
     B = killing_form(algebra)
     scale = float(np.max(np.abs(B)))
     if scale == 0.0:
         return False
-    return abs(np.linalg.det(B)) > tol * scale ** algebra.dim
+    return abs(np.linalg.det(B)) > SEMISIMPLE_TOL * scale ** algebra.dim
 
 
 def ad_matrix(algebra: LieAlgebra, u) -> np.ndarray:
@@ -200,9 +203,9 @@ def get_algebra(name: str) -> LieAlgebra:
     raise KeyError(f"unknown registry algebra {name!r}; known: {registry_names()}")
 
 
-def registry_algebras(abelian_dims=(2, 3)) -> list[LieAlgebra]:
-    """All benchmark algebras, with abelian R^n for the given dimensions."""
-    return [abelian(n) for n in abelian_dims] + [fn() for _, fn in sorted(_REGISTRY.items())]
+def registry_algebras() -> list[LieAlgebra]:
+    """All benchmark algebras, with abelian R^2 and R^3."""
+    return [abelian(2), abelian(3)] + [fn() for _, fn in sorted(_REGISTRY.items())]
 
 
 def load_algebra(path) -> LieAlgebra:

@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import get_algebra, load_algebra, validate_algebra
+from .algebra import AXIOM_TOL, get_algebra, load_algebra, validate_algebra
 from .cohomology import (cocycle_residual, cohomology_dimensions, delta1_scalar,
                          solve_primitive)
-from .dynamics import InertiaTensor, hamiltonian, integrate, so3_vector_representation
+from .dynamics import InertiaTensor, integrate
 from .errors import DegenerateForm, LieDeformError, NotACocycle, NotExact, UpsilonPresent
-from .phase_space import (DeformedStructure, darboux_shift, decide_grid, degeneracy,
-                          load_deformation, poisson_tensor)
+from .phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid,
+                          degeneracy, load_deformation, poisson_tensor)
 from .symmetry import isotropy_subalgebra
 
 EXIT_OK = 0
@@ -204,22 +204,12 @@ def cmd_simulate(args) -> int:
     structure = resolve_structure(args, algebra)
     inertia = resolve_inertia(args.inertia, algebra.dim)
     pi0 = parse_vector(args.pi0, algebra.dim, "--pi0")
-    rep = None
-    if args.rep == "so3":
-        rep = so3_vector_representation()
-    elif args.rep:
-        with open(args.rep) as fh:
-            rep = np.asarray(json.load(fh), float)
-        if rep.ndim != 3 or rep.shape[0] != algebra.dim or not 1 <= rep.shape[1] == rep.shape[2]:
-            raise ValueError(f"--rep: expected {algebra.dim} d x d generators with d >= 1, "
-                             f"got shape {rep.shape}")
 
     # linear observables from the residual-symmetry directions
     sub = isotropy_subalgebra(algebra, structure.Theta, structure.Upsilon, inertia.I_inv)
     extra = {f"isotropy_{i}": sub.basis[i] for i in range(sub.dimension)}
 
-    traj = integrate(structure, inertia, pi0, args.T, args.dt, rep=rep,
-                     extra_monitors=extra)
+    traj = integrate(structure, inertia, pi0, args.T, args.dt, extra_monitors=extra)
 
     channel_names = sorted(traj.monitors)
     columns = [traj.times, *traj.pis.T, *(traj.monitors[name] for name in channel_names)]
@@ -314,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--deformation", help="deformation spec file (JSON)")
             p.add_argument("--xi", help="inline xi vector; Theta becomes its coboundary")
         if rank_tol:
-            p.add_argument("--rank-tol", type=float, default=1e-10,
+            p.add_argument("--rank-tol", type=float, default=RANK_TOL,
                            help="singular values of K = I + C(pi) Upsilon at or below "
                                 "rank_tol * max(sigma_max(K), 1) count as zero; in (0, 1)")
         p.add_argument("--output", "-o", help="output file (default: stdout for JSON)")
 
     p = sub.add_parser("validate", help="check bracket axioms of an algebra")
     common(p, deformation=False)
-    p.add_argument("--tol", type=float, default=1e-12, help="validation tolerance override")
+    p.add_argument("--tol", type=float, default=AXIOM_TOL, help="validation tolerance override")
 
     p = sub.add_parser("cohomology", help="cocycle residual, exactness, cohomology dims")
     common(p)
@@ -341,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi0", required=True, help="initial body momentum")
     p.add_argument("--T", type=float, required=True, help="final time")
     p.add_argument("--dt", type=float, required=True, help="time step")
-    p.add_argument("--rep", help="matrix representation: 'so3' or a JSON generator stack")
     p.add_argument("--summary", help="JSON summary file (default: stdout)")
 
     p = sub.add_parser("sweep", help="grid sweep of deformation entries")

@@ -55,13 +55,13 @@ def delta1_vector(algebra: LieAlgebra, theta) -> np.ndarray:
             - np.einsum('ak,kmn->amn', theta, algebra.f))
 
 
-def delta2(algebra: LieAlgebra, Theta, tol: float = 1e-12) -> np.ndarray:
+def delta2(algebra: LieAlgebra, Theta) -> np.ndarray:
     """Degree-two coboundary of an antisymmetric scalar 2-cochain, indexed [...][a][b][c].
 
     Antisymmetry is judged point by point, relative to the scale of each point's Theta.
     """
     Theta = np.asarray(Theta, float)
-    residual, bound = _transpose_residual(Theta, tol)
+    residual, bound = _transpose_residual(Theta)
     if not np.all(residual <= bound):
         raise NotAntisymmetric("Theta must be antisymmetric")
     return _delta2(algebra, Theta)
@@ -79,18 +79,17 @@ def cocycle_residual(algebra: LieAlgebra, Theta):
     return np.max(np.abs(delta2(algebra, Theta)), axis=(-3, -2, -1))
 
 
-def is_symplectic_cocycle(algebra: LieAlgebra, theta, tol: float | None = None) -> bool:
-    """True iff theta is antisymmetric and has vanishing coboundary (within tol).
+def is_symplectic_cocycle(algebra: LieAlgebra, theta) -> bool:
+    """True iff theta is antisymmetric and has vanishing coboundary (within admission_tol).
 
     Antisymmetry is judged by the rule DeformedStructure admits Theta by.
     """
     theta = np.asarray(theta, float)
-    if tol is None:
-        tol = admission_tol(algebra, theta)
     residual, bound = _transpose_residual(theta)
     if not residual <= bound:
         return False
-    return float(np.max(np.abs(delta1_vector(algebra, theta)))) <= tol
+    coboundary = float(np.max(np.abs(delta1_vector(algebra, theta))))
+    return coboundary <= admission_tol(algebra, theta)
 
 
 def _pair_index(n: int):
@@ -103,7 +102,7 @@ def _coboundary_matrix(algebra: LieAlgebra) -> np.ndarray:
     return np.array([[-algebra.f[m, a, b] for m in range(algebra.dim)] for a, b in pairs])
 
 
-def solve_primitive(algebra: LieAlgebra, Theta, tol: float | None = None):
+def solve_primitive(algebra: LieAlgebra, Theta):
     """Minimal-norm xi with delta1_scalar(xi) = Theta, for a cocycle Theta.
 
     Returns (xi, residual, kernel_dim) where residual is the max-entry norm of
@@ -113,7 +112,7 @@ def solve_primitive(algebra: LieAlgebra, Theta, tol: float | None = None):
     within the relative tolerance.
     """
     Theta = np.asarray(Theta, float)
-    adm = admission_tol(algebra, Theta) if tol is None else tol
+    adm = admission_tol(algebra, Theta)
     res = cocycle_residual(algebra, Theta)
     if res > adm:
         raise NotACocycle(f"delta2 residual {res:.3e} exceeds tolerance {adm:.3e}")

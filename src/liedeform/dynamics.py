@@ -161,13 +161,13 @@ def _step_count(T: float, dt: float) -> int:
 
 
 def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
-              T: float, dt: float, g0=None, rep=None,
+              T: float, dt: float, rep=None,
               extra_monitors: dict | None = None) -> Trajectory:
     """Classical RK4 integration of the deformed Euler flow.
 
-    ``rep`` is an optional stack of N generator matrices rho(e_i); when given
-    (with g0 defaulting to the identity), the group element is reconstructed
-    from dg/dt = g rho(eta); after each step g = W S V^T is replaced by W V^T.
+    ``rep`` is an optional stack of N generator matrices rho(e_i); when given, the
+    group element is reconstructed from g(0) = I and dg/dt = g rho(eta); after each
+    step g = W S V^T is replaced by W V^T.
 
     RK4 steps one flat state y: pi alone, or pi followed by g raveled, whose
     time derivative is (pidot, g rho(eta)) with rho(eta) = eta_i rho(e_i).
@@ -192,8 +192,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
         rep = np.asarray(rep, dtype=float)
         d = rep.shape[1]
         rep_flat = rep.reshape(len(rep), d * d)
-        g = np.eye(d) if g0 is None else np.asarray(g0, dtype=float)
-        y = np.concatenate([pi0, g.ravel()])
+        y = np.concatenate([pi0, np.eye(d).ravel()])
 
         def rhs(y):
             eta, pidot = hamiltonian_vector_field(structure, inertia, y[:n])
@@ -274,10 +273,4 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
 
 def so3_vector_representation() -> np.ndarray:
     """Generators of the rotation representation matching the so3 registry basis."""
-    algebra = so3()
-    gens = np.zeros((3, 3, 3))
-    for i in range(3):
-        u = np.zeros(3)
-        u[i] = 1.0
-        gens[i] = np.einsum('mkn,k->mn', algebra.f, u)
-    return gens
+    return np.ascontiguousarray(so3().f.transpose(1, 0, 2))

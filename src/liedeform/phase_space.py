@@ -35,7 +35,7 @@ from .errors import DegenerateForm, NotACocycle, NotAntisymmetric, UpsilonPresen
 RANK_TOL = 1e-10
 
 
-def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: float = 1e-12):
+def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
     """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error."""
     n = algebra.dim
     for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
@@ -44,7 +44,7 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray, tol: flo
     if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
         raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
     pair = np.stack((Theta, Upsilon), axis=1)
-    residual, bound = _transpose_residual(pair, tol)
+    residual, bound = _transpose_residual(pair)
     asymmetric = ~(residual <= bound)
     first = np.argmax(np.append(asymmetric.any(axis=1), True))  # first asymmetric point, or G
     res = np.max(np.abs(_delta2(algebra, Theta[:first])), axis=(-3, -2, -1))
@@ -73,6 +73,14 @@ def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
     M = np.empty(C.shape[:-2] + (2 * n, 2 * n))
     M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:] = C, eye, -eye, Upsilon
     return M
+
+
+def _poisson(M: np.ndarray) -> np.ndarray:
+    """Inverse of (..., 2N, 2N) stacks of M, antisymmetrized; ValueError where it is not finite."""
+    Pi = np.linalg.inv(M)
+    if not np.isfinite(Pi).all():  # before the subtraction, where inf - inf would warn
+        raise ValueError("the inverse of the two-form matrix is not finite")
+    return 0.5 * (Pi - Pi.swapaxes(-1, -2))
 
 
 def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
@@ -146,14 +154,13 @@ def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> 
 
 
 def poisson_tensor(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Inverse of the two-form matrix, antisymmetrized to machine precision."""
+    """Antisymmetrized inverse of the two-form matrix (``_poisson``) where it is nondegenerate."""
     report = degeneracy(structure, pi, rank_tol)
     if report.nullity > 0:
         raise DegenerateForm(
             f"two-form degenerate at this momentum (nullity {report.nullity})",
             kernel=report.kernel)
-    Pi = np.linalg.inv(omega_matrix(structure, pi))
-    return 0.5 * (Pi - Pi.T)
+    return _poisson(omega_matrix(structure, pi))
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,16 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi,
                 rank_tol: float = RANK_TOL) -> GridReport:
     """Admit (G, N, N) stacks of Theta and Upsilon and decide every point at momentum pi.
 
-    Point by point the checks and results of DeformedStructure, degeneracy and
-    poisson_tensor, from one stacked ``_nullity`` and one stacked inverse.
+    Point by point the checks and bitwise results of DeformedStructure, degeneracy and
+    poisson_tensor: C(pi) as lie_poisson_block forms it, one stacked ``_nullity`` and ``_poisson``.
     """
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
     _admit(algebra, Theta, Upsilon)
-    C = np.einsum('m,mab->ab', np.asarray(pi, float), algebra.f) + Theta
-    nullity = _nullity(np.eye(algebra.dim) + C @ Upsilon, rank_tol)
-    Pi = np.linalg.inv(_omega_blocks(C, Upsilon)[nullity == 0])
-    return GridReport(rank=2 * algebra.dim - nullity, nullity=nullity,
-                      poisson=0.5 * (Pi - Pi.transpose(0, 2, 1)))
+    n = algebra.dim
+    C = np.asarray(pi, float).dot(algebra.f.reshape(n, n * n)).reshape(n, n) + Theta
+    nullity = _nullity(np.eye(n) + C @ Upsilon, rank_tol)
+    return GridReport(rank=2 * n - nullity, nullity=nullity,
+                      poisson=_poisson(_omega_blocks(C, Upsilon)[nullity == 0]))
 
 
 def closedness_residual(structure: DeformedStructure) -> float:

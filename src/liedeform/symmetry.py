@@ -43,8 +43,8 @@ class IsotropySubalgebra:
     closure_residual: float
 
 
-def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon, inertia_inv=None,
-                        tol: float = NULLSPACE_TOL) -> IsotropySubalgebra:
+def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
+                        inertia_inv=None) -> IsotropySubalgebra:
     """Null space of u -> (L_u Theta, L_u Upsilon[, L_u I]) with closure check."""
     n = algebra.dim
     cols = []
@@ -59,7 +59,7 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon, inertia_inv=None,
     A = np.array(cols).T
     _, s, vt = np.linalg.svd(A)
     smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > NULLSPACE_TOL * smax))
     basis = vt[rank:]
     # bracket closure: project [b_i, b_j] outside the span
     residual = 0.0

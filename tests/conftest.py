@@ -6,7 +6,7 @@ from liedeform.algebra import registry_algebras
 
 @pytest.fixture(scope="session")
 def registry():
-    return registry_algebras(abelian_dims=(2, 3))
+    return registry_algebras()
 
 
 @pytest.fixture()

@@ -17,7 +17,7 @@ from liedeform.symmetry import group_isotropy_check, isotropy_subalgebra
 
 from conftest import random_antisymmetric
 
-REGISTRY = registry_algebras(abelian_dims=(2, 3))
+REGISTRY = registry_algebras()
 RIGID_BODY = InertiaTensor.diagonal([1.0, 0.5, 1.0 / 3.0])
 PI0 = np.array([1.0, 0.1, 0.0])
 

@@ -371,6 +371,10 @@ class TestIntegrate:
         defects = [np.max(np.abs(g.T @ g - np.eye(3))) for g in traj.gs]
         assert max(defects) < 1e-6
 
+    def test_so3_vector_representation_is_the_adjoint(self):
+        # rho(e_i) = ad(e_i) byte for byte, the sign of every zero included
+        assert so3_vector_representation().tobytes() == adjoint_representation(so3()).tobytes()
+
     def test_extra_monitors(self):
         S = DeformedStructure(so3())
         traj = integrate(S, RIGID_BODY, [0.0, 0.0, 1.0], T=0.5, dt=1e-2,

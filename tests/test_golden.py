@@ -57,14 +57,15 @@ CASES = {
     "validate_sl2r": ["validate", "--algebra", "sl2r"],
     "isotropy_sl2r_upsilon": ["isotropy", "--algebra", "sl2r", "--deformation", "sl2r-upsilon.json",
                               "--inertia", "diag:1,2,2"],
-    # trajectories: Casimir and group reconstruction; isotropy monitors with Upsilon != 0;
+    # trajectories: the Casimir (the "rep" in two names is a removed simulate option, whose
+    # runs wrote the same bytes); isotropy monitors with Upsilon != 0;
     # a non-exact Theta with Upsilon != 0; a degenerate abort with its partial CSV
     "simulate_so3_xi_rep": ["simulate", "--algebra", "so3", "--xi", "0.1,-0.2,0.3",
                             "--inertia", "diag:1,0.5,0.25", "--pi0", "1,0.1,-0.3",
-                            "--T", "1", "--dt", "0.025", "--rep", "so3"],
+                            "--T", "1", "--dt", "0.025"],
     "simulate_so3_rep_isotropy": ["simulate", "--algebra", "so3", "--xi", "0,0,0.5",
                                   "--inertia", "diag:1,1,0.5", "--pi0", "1,0.1,-0.3",
-                                  "--T", "3", "--dt", "0.01", "--rep", "so3"],
+                                  "--T", "3", "--dt", "0.01"],
     "simulate_sl2r_upsilon": ["simulate", "--algebra", "sl2r", "--deformation", "sl2r-upsilon.json",
                               "--inertia", "diag:1,2,2", "--pi0", "0.3,-0.5,0.8",
                               "--T", "2", "--dt", "0.05"],

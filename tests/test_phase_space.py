@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liedeform import cohomology, phase_space
-from liedeform.algebra import _transpose_residual, abelian, heisenberg, sl2r, so3
+from liedeform.algebra import _transpose_residual, abelian, heisenberg, se2, sl2r, so3
 from liedeform.cohomology import cocycle_residual, delta1_scalar, is_symplectic_cocycle
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
 from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
@@ -230,6 +230,11 @@ class TestPoissonTensor:
             poisson_tensor(fg_structure(1.0, 1.0), np.zeros(2))
         assert excinfo.value.kernel.shape == (4, 2)
 
+    def test_overflowing_inverse_raises(self):
+        # K = I is nondegenerate, but the inverse of M at |pi| ~ 1e308 is not finite
+        with pytest.raises(ValueError, match="^the inverse of the two-form matrix is not finite$"):
+            poisson_tensor(DeformedStructure(so3()), np.full(3, 1e308))
+
     def test_inversion_random(self, registry, rng):
         for algebra in registry:
             n = algebra.dim
@@ -245,8 +250,11 @@ class TestPoissonTensor:
 
 class TestDecideGrid:
     def test_matches_pointwise_loop(self, registry, rng):
-        # the per-point loop is the reference: equal verdicts, bitwise equal tensors
-        for algebra in registry:
+        # the per-point loop is the reference: equal verdicts, bitwise equal tensors, also on
+        # GL(3)-conjugated algebras, whose non-integer f a user's spec file can hold
+        from test_dynamics import conjugated
+        P = np.random.default_rng(7).normal(size=(3, 3, 3)) + 3.0 * np.eye(3)
+        for algebra in registry + [conjugated(a, p) for a, p in zip((so3(), sl2r(), se2()), P)]:
             n = algebra.dim
             Theta = np.array([delta1_scalar(algebra, rng.normal(size=n)) for _ in range(40)])
             Upsilon = np.array([0.3 * random_antisymmetric(rng, n) for _ in range(40)])
@@ -273,6 +281,10 @@ class TestDecideGrid:
         coarse = decide_grid(abelian(2), Theta, Upsilon, np.zeros(2), rank_tol=0.2)
         assert coarse.nullity.tolist() == [2, 2, 2, 2]
         assert coarse.poisson.shape == (0, 4, 4)
+
+    def test_overflowing_inverse_raises(self):
+        with pytest.raises(ValueError, match="^the inverse of the two-form matrix is not finite$"):
+            decide_grid(so3(), np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), np.full(3, 1e308))
 
     def test_empty_grid(self):
         grid = decide_grid(so3(), np.zeros((0, 3, 3)), np.zeros((0, 3, 3)), np.zeros(3))
