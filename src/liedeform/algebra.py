@@ -119,10 +119,53 @@ def ad_matrix(algebra: LieAlgebra, u) -> np.ndarray:
     return np.einsum('mkn,k->mn', algebra.f, np.asarray(u, float))
 
 
+#: 1/k! for k = 1..24 and 0 for k = 0, as five chunks of five: chunk j holds the
+#: coefficients of A^(5j) (I, A, ..., A^4) in the degree-24 Taylor polynomial of exp(A) - I
+_EXPM1_TAYLOR = np.array([0.0, *(1.0 / np.cumprod(np.arange(1.0, 25.0)))]).reshape(5, 5)
+
+
+def _expm(X, minus_identity: bool = False) -> np.ndarray:
+    """exp(X), or exp(X) - I, for a (..., n, n) stack, each matrix on its own, in numpy alone.
+
+    Scaling and squaring: each A = X / 2^s has ||A||_1 <= 2, where the degree-24 Taylor
+    polynomial, evaluated by Paterson-Stockmeyer in eight matmuls, leaves a remainder of
+    norm at most ||A||^25 / 25! * 26 / 24 <= 2.4e-18, far below the unit roundoff even
+    relative to ||exp(A)|| >= e^-2; then s squarings, so the error grows with
+    log2 ||X||_1, not with ||X||_1.  With ``minus_identity`` a
+    matrix with s = 0 gets the polynomial without I, which keeps the bits of a small
+    exp(X) - I that 1 + x would round away.  Scaling by 2^-s is exact, so a matrix whose
+    square is exactly zero gets I + X exactly.
+    """
+    X = np.asarray(X, dtype=float)
+    shape, n = X.shape, X.shape[-1]
+    X = X.reshape(-1, n, n)
+    # ||X||_1 < 2^e, so s = e - 1 gives ||A||_1 < 2; a non-finite X gives e = 0 and a
+    # non-finite result
+    s = np.maximum(np.frexp(np.abs(X).sum(axis=1).max(axis=1, initial=0.0))[1] - 1, 0)
+    A = X * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(n)
+    powers = [eye, A]
+    for _ in range(4):
+        powers.append(powers[-1] @ A)
+    A5 = powers.pop()
+    F = None
+    for coefficients in _EXPM1_TAYLOR[::-1]:
+        chunk = sum(c * P for c, P in zip(coefficients, powers))
+        F = chunk if F is None else chunk + A5 @ F
+    E = F + eye
+    for j in range(s.max(initial=0)):
+        square = s > j
+        E[square] = E[square] @ E[square]
+    if minus_identity:
+        scaled = s > 0
+        F[scaled] = E[scaled] - eye
+        E = F
+    return E.reshape(shape)
+
+
 def ad_exp(algebra: LieAlgebra, u, t: float) -> np.ndarray:
     """Adjoint representation of exp(t u): the matrix exponential of t * ad_u."""
-    from scipy.linalg import expm  # imported on use: scipy stays off `import liedeform`
-    return expm(t * ad_matrix(algebra, u))
+    return _expm(t * ad_matrix(algebra, u))
 
 
 def coadjoint_matrix(algebra: LieAlgebra, u, t: float) -> np.ndarray:

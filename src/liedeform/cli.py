@@ -25,8 +25,8 @@ from .cohomology import (cocycle_residual, cohomology_dimensions, delta1_scalar,
                          solve_primitive)
 from .dynamics import InertiaTensor, integrate
 from .errors import DegenerateForm, LieDeformError, NotACocycle, NotExact, UpsilonPresent
-from .phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid,
-                          degeneracy, load_deformation, poisson_tensor)
+from .phase_space import (RANK_TOL, DeformedStructure, _poisson, darboux_shift, decide_grid,
+                          degeneracy, load_deformation, omega_matrix)
 from .symmetry import isotropy_subalgebra
 
 EXIT_OK = 0
@@ -175,8 +175,8 @@ def cmd_omega(args) -> int:
     structure = resolve_structure(args, algebra)
     pi = parse_vector(args.pi, algebra.dim, "--pi") if args.pi else np.zeros(algebra.dim)
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
-    poisson = (poisson_tensor(structure, pi, rank_tol=args.rank_tol) if report.nullity == 0
-               else None)
+    # poisson_tensor less its second degeneracy decision: the same bytes
+    poisson = _poisson(omega_matrix(structure, pi)) if report.nullity == 0 else None
     darboux_xi = None
     try:
         _, darboux_xi = darboux_shift(structure, pi)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from liedeform.algebra import (LieAlgebra, abelian, ad_exp, ad_matrix,
+from liedeform.algebra import (LieAlgebra, _expm, abelian, ad_exp, ad_matrix,
                                coadjoint_matrix, get_algebra, heisenberg,
                                is_semisimple, killing_form, load_algebra,
                                se2, sl2r, so3, validate_algebra)
@@ -157,6 +158,54 @@ class TestAdExp:
                 t = rng.uniform(-2, 2)
                 Ad = ad_exp(algebra, u, t)
                 assert np.max(np.abs(Ad.T @ B @ Ad - B)) < 1e-9
+
+
+def scaled_to_norm(rng, n, norm):
+    X = rng.normal(size=(n, n))
+    return X * (norm / np.abs(X).sum(axis=0).max())
+
+
+class TestExponential:
+    """The numpy exponential behind ad_exp and integrate's group update."""
+
+    def test_matches_scipy_on_the_step_range(self, rng):
+        for n in range(1, 11):
+            for norm in np.geomspace(1e-4, 0.5, 20):
+                X = scaled_to_norm(rng, n, norm)
+                reference = expm(X)
+                assert np.max(np.abs(_expm(X) - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_matches_scipy_up_to_norm_20(self, rng):
+        # scipy's expm itself strays from a 40-digit reference by up to 3e-12 relative on
+        # random matrices of this range, so the oracle is scipy's expm at ||X||_1 / 64 <= 0.32,
+        # where it matches to 1e-16, raised to the 64th power by six squarings
+        for n in range(1, 11):
+            for norm in np.linspace(0.5, 20.0, 20):
+                X = scaled_to_norm(rng, n, norm)
+                reference = expm(X / 64.0)
+                for _ in range(6):
+                    reference = reference @ reference
+                assert np.max(np.abs(_expm(X) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_minus_identity_keeps_the_bits_of_a_small_step(self, rng):
+        # so(3): exp(K) - I = sin(t) K / t + 2 sin^2(t / 2) K^2 / t^2 with t = |u|, evaluated
+        # without cancellation
+        for scale in (1e-8, 1e-4, 1e-2, 0.5, 3.0, 40.0):
+            u = scale * rng.normal(size=3)
+            K, t = ad_matrix(so3(), u), np.linalg.norm(u)
+            exact = np.sin(t) / t * K + 2.0 * (np.sin(0.5 * t) / t) ** 2 * K @ K
+            F = _expm(K, minus_identity=True)
+            assert np.max(np.abs(F - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    def test_stack_equals_one_by_one(self, rng):
+        # a matrix's bits do not depend on the stack it is in, scaled or not
+        X = np.concatenate([scaled_to_norm(rng, 3, norm)[None]
+                            for norm in (1e-3, 0.1, 1.5, 2.5, 7.0, 19.0)])
+        for minus_identity in (False, True):
+            stacked = _expm(X.reshape(2, 3, 3, 3), minus_identity).reshape(6, 3, 3)
+            for k in range(6):
+                assert stacked[k].tobytes() == _expm(X[k], minus_identity).tobytes()
+            assert _expm(X[:0], minus_identity).shape == (0, 3, 3)
 
 
 class TestCoadjoint:

@@ -9,7 +9,7 @@ import pytest
 
 import liedeform
 from liedeform.algebra import so3
-from liedeform import cli
+from liedeform import cli, phase_space
 from liedeform.cli import main, parse_axis
 
 
@@ -149,6 +149,27 @@ class TestOmega:
         deform.write_text(json.dumps({"Theta": Theta.tolist(),
                                       "Upsilon": None, "xi": None}))
         assert run(["omega", "--algebra", alg, "--deformation", deform]) == 2
+
+    def test_one_nondegeneracy_decision_per_report(self, monkeypatch, tmp_path):
+        # the Poisson tensor of a nondegenerate point is not decided a second time
+        calls = []
+        nullity_rule = phase_space._nullity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nullity_rule(*args, **kwargs)
+
+        monkeypatch.setattr(phase_space, "_nullity", counted)
+        deform, out = tmp_path / "fg1.json", tmp_path / "report.json"
+        deform.write_text(json.dumps({"Theta": [[0.0, 1.0], [-1.0, 0.0]],
+                                      "Upsilon": [[0.0, 1.0], [-1.0, 0.0]], "xi": None}))
+        for argv, nullity in ((["--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0,0"], 0),
+                              (["--algebra", "so3"], 0),
+                              (["--algebra", "abelian2", "--deformation", deform], 2)):
+            calls.clear()
+            assert run(["omega", *argv, "-o", out]) == 0
+            assert read_json(out)["nullity"] == nullity
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
     def test_non_finite_deformation_exit_2(self, tmp_path, capsys, entry):
@@ -491,12 +512,12 @@ for argv in (["validate", "--algebra", "so3", "-o", out + "/v.json"],
               "--T", "0.1", "--dt", "0.01", "-o", out + "/t.csv",
               "--summary", out + "/t.json"]):
     assert liedeform.cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-# ad_exp imports expm on use and still gives the rotation about a unit axis (Rodrigues)
+# ad_exp gives the rotation about a unit axis (Rodrigues) without scipy too
 u, t = np.array([1.0, 2.0, 2.0]) / 3.0, 0.7
 K = liedeform.ad_matrix(so3, u)
 rotation = np.eye(3) + np.sin(t) * K + (1.0 - np.cos(t)) * K @ K
 assert np.max(np.abs(liedeform.ad_exp(so3, u, t) - rotation)) < 1e-14
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 

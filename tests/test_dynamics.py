@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import polar
+from scipy.linalg import expm
 
 from liedeform import dynamics
 from liedeform.algebra import (LieAlgebra, abelian, ad_matrix, get_algebra, is_semisimple,
@@ -327,7 +327,7 @@ class TestIntegrate:
         S = DeformedStructure(so3())
         with pytest.raises(StepRejected):
             integrate(S, RIGID_BODY, [1.0, 0.1, 0.0], T=1e8, dt=1e6)
-        # with a representation the state is checked before g is projected
+        # with a representation too: no group element is formed from the non-finite stages
         for rep in (None, so3_vector_representation()):
             with pytest.raises(StepRejected):
                 integrate(S, InertiaTensor.diagonal([1.0, 2.0, 3.0]),
@@ -390,10 +390,11 @@ class TestIntegrate:
 
 
 def reference_integrate(structure, inertia, pi0, steps, dt, rep=None):
-    """RK4 written the way integrate stepped before its flat state.
+    """RK4 on pi written the way integrate stepped before its flat state, and CF4 on g.
 
-    C(pi) by einsum, the Upsilon = 0 test on max |Upsilon|, pi and g stepped as
-    separate RK4 sums, then polar reprojection of g.  Returns (pis, gs).
+    C(pi) by einsum, the Upsilon = 0 test on max |Upsilon|, pi stepped as one RK4 sum,
+    then g advanced by the commutator-free CF4 update from the four stage velocities,
+    with einsum generators and scipy.linalg.expm.  Returns (pis, gs).
     """
     f, Theta, U = structure.algebra.f, structure.Theta, structure.Upsilon
     n = len(f)
@@ -406,10 +407,6 @@ def reference_integrate(structure, inertia, pi0, steps, dt, rep=None):
         pidot = np.linalg.solve(np.eye(n) + C @ U, -C @ v)
         return v + U @ pidot, pidot
 
-    def stage(p, g):
-        eta, pidot = field(p)
-        return pidot, g @ np.einsum('i,ijk->jk', eta, rep)
-
     pi = np.asarray(pi0, float)
     g = None if rep is None else np.eye(rep.shape[1])
     pis, gs = [pi], [g]
@@ -417,15 +414,24 @@ def reference_integrate(structure, inertia, pi0, steps, dt, rep=None):
         if rep is None:
             pi = _rk4_step(lambda p: field(p)[1], pi, dt)
         else:
-            k1 = stage(pi, g)
-            k2 = stage(pi + 0.5 * dt * k1[0], g + 0.5 * dt * k1[1])
-            k3 = stage(pi + 0.5 * dt * k2[0], g + 0.5 * dt * k2[1])
-            k4 = stage(pi + dt * k3[0], g + dt * k3[1])
-            pi = pi + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            g = polar(g + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))[0]
+            e1, k1 = field(pi)
+            e2, k2 = field(pi + 0.5 * dt * k1)
+            e3, k3 = field(pi + 0.5 * dt * k2)
+            e4, k4 = field(pi + dt * k3)
+            pi = pi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            a = e1 / 4 + e2 / 6 + e3 / 6 - e4 / 12
+            b = -e1 / 12 + e2 / 6 + e3 / 6 + e4 / 4
+            g = (g @ expm(dt * np.einsum('i,ijk->jk', a, rep))
+                 @ expm(dt * np.einsum('i,ijk->jk', b, rep)))
         pis.append(pi)
         gs.append(g)
     return np.array(pis), None if rep is None else np.array(gs)
+
+
+def assert_close_gs(gs, reference):
+    """Reconstructed g within 1e-13 max|g| of an independently evaluated reference."""
+    assert gs.shape == reference.shape
+    assert np.max(np.abs(gs - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def adjoint_representation(algebra):
@@ -477,7 +483,7 @@ class TestFlatState:
         assert traj.complete
         assert np.ascontiguousarray(traj.pis).tobytes() == pis.tobytes()
         if rep is not None:
-            assert np.ascontiguousarray(traj.gs).tobytes() == gs.tobytes()
+            assert_close_gs(traj.gs, gs)
 
     @pytest.mark.parametrize("with_upsilon", [False, True])
     def test_bitwise_equal_to_reference_on_registry(self, registry, rng, with_upsilon):
@@ -494,7 +500,7 @@ class TestFlatState:
                 if rep is None:
                     assert traj.gs is None
                 else:
-                    assert np.ascontiguousarray(traj.gs).tobytes() == gs.tobytes()
+                    assert_close_gs(traj.gs, gs)
                 energy = np.array([hamiltonian(inertia, p) for p in pis])
                 assert traj.monitors["energy"].tobytes() == energy.tobytes()
 
@@ -532,6 +538,166 @@ class TestFlatState:
             assert np.max(np.abs(traj.pis - pis)) <= 1e-13 * np.max(np.abs(pis))
             if r is not None:
                 assert np.max(np.abs(traj.gs - gs)) <= 1e-13 * np.max(np.abs(gs))
+
+
+def sl2r_defining_representation():
+    """rho(h) = diag(1, -1), rho(e) = E12, rho(f) = E21 in the sl2r registry basis (h, e, f)."""
+    rep = np.zeros((3, 2, 2))
+    rep[0] = np.diag([1.0, -1.0])
+    rep[1][0, 1] = rep[2][1, 0] = 1.0
+    return rep
+
+
+def heisenberg_representation():
+    """rho(e1) = E12, rho(e2) = E23, rho(e3) = E13: 3 x 3 strictly upper triangular."""
+    rep = np.zeros((3, 3, 3))
+    rep[0][0, 1] = rep[1][1, 2] = rep[2][0, 2] = 1.0
+    return rep
+
+
+def se2_representation():
+    """Homogeneous 3 x 3 generators: translations E13, E23 and the rotation E21 - E12."""
+    rep = np.zeros((3, 3, 3))
+    rep[0][0, 2] = rep[1][1, 2] = rep[2][1, 0] = 1.0
+    rep[2][0, 1] = -1.0
+    return rep
+
+
+class TestGroupReconstruction:
+    """CF4 on g: the closed forms of constant eta, order 4, and the group it stays in."""
+
+    def test_representations_are_homomorphisms(self):
+        for algebra, rep in ((sl2r(), sl2r_defining_representation()),
+                             (get_algebra("heisenberg"), heisenberg_representation()),
+                             (get_algebra("se2"), se2_representation())):
+            for a, b in itertools.product(range(3), repeat=2):
+                bracket = np.einsum('m,mij->ij', algebra.f[:, a, b], rep)
+                assert np.array_equal(rep[a] @ rep[b] - rep[b] @ rep[a], bracket)
+
+    @pytest.mark.parametrize("Upsilon", [None, [[0.0, 0.25, 0.0], [-0.25, 0.0, 0.0],
+                                                [0.0, 0.0, 0.0]]])
+    def test_sl2r_equilibrium_closed_form(self, Upsilon):
+        # pi0 = (1, 0, 0) is an equilibrium with eta = h: g(t) = diag(e^t, e^-t), not a
+        # rotation, so a projection onto O(2) would return I
+        structure = DeformedStructure(sl2r(), None, Upsilon)
+        traj = integrate(structure, InertiaTensor.identity(3), [1.0, 0.0, 0.0], T=1.0,
+                         dt=0.01, rep=sl2r_defining_representation())
+        assert traj.complete and traj.gs.shape == (101, 2, 2)
+        exact = np.zeros((101, 2, 2))
+        exact[:, 0, 0], exact[:, 1, 1] = np.exp(traj.times), np.exp(-traj.times)
+        assert np.max(np.abs(traj.gs - exact)) <= 1e-12
+        assert np.max(np.abs(traj.gs[-1] - np.diag([np.e, 1.0 / np.e]))) <= 1e-12
+
+    def test_heisenberg_constant_eta_closed_form(self):
+        # with pi_3 = 0, C(pi) = 0: eta = (a, b, 0) stays constant and
+        # exp(t (a E12 + b E23)) = I + t (a E12 + b E23) + t^2 a b / 2 E13
+        a, b = 0.7, -1.3
+        traj = integrate(DeformedStructure(get_algebra("heisenberg")),
+                         InertiaTensor.identity(3), [a, b, 0.0], T=2.0, dt=0.01,
+                         rep=heisenberg_representation())
+        t = traj.times
+        exact = np.broadcast_to(np.eye(3), (len(t), 3, 3)).copy()
+        exact[:, 0, 1], exact[:, 1, 2], exact[:, 0, 2] = a * t, b * t, 0.5 * a * b * t ** 2
+        assert np.max(np.abs(traj.gs - exact)) <= 1e-12
+        assert np.all(np.tril(traj.gs, -1) == 0.0)
+
+    @pytest.mark.parametrize("pi0, inertia", [([0.4, -0.9, 0.0], [1.0, 1.0, 2.0]),
+                                              ([0.0, 0.0, 1.5], [1.0, 1.0, 2.0])])
+    def test_se2_constant_eta_closed_form(self, pi0, inertia):
+        # pi = (a, b, 0) with equal translational inertia, and pi = (0, 0, w), are equilibria:
+        # a pure translation by t eta, and a pure rotation by the angle t eta_3
+        traj = integrate(DeformedStructure(get_algebra("se2")), InertiaTensor.diagonal(inertia),
+                         pi0, T=3.0, dt=0.01, rep=se2_representation())
+        eta = np.asarray(inertia) * pi0  # I_inv pi
+        t = traj.times
+        angle = eta[2] * t
+        exact = np.zeros((len(t), 3, 3))
+        exact[:, 0, 0] = exact[:, 1, 1] = np.cos(angle)
+        exact[:, 1, 0], exact[:, 0, 1] = np.sin(angle), -np.sin(angle)
+        exact[:, 0, 2], exact[:, 1, 2], exact[:, 2, 2] = eta[0] * t, eta[1] * t, 1.0
+        assert np.max(np.abs(traj.gs - exact)) <= 1e-12
+        assert np.all(traj.gs[:, 2] == [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("make, inertia, pi0, rep", [
+        (so3, RIGID_BODY, [1.0, 0.1, 0.0], so3_vector_representation()),
+        (sl2r, InertiaTensor.diagonal([1.0, 2.0, 0.5]), [0.3, 0.4, -0.2],
+         sl2r_defining_representation()),
+    ])
+    def test_fourth_order_convergence(self, make, inertia, pi0, rep):
+        structure = DeformedStructure(make())
+        reference = integrate(structure, inertia, pi0, T=2.0, dt=0.00125, rep=rep).gs[-1]
+        error = {dt: np.max(np.abs(integrate(structure, inertia, pi0, T=2.0, dt=dt,
+                                             rep=rep).gs[-1] - reference))
+                 for dt in (0.05, 0.025)}
+        assert 12.0 <= error[0.05] / error[0.025] <= 20.0
+
+    def test_so3_stays_orthogonal(self):
+        traj = integrate(DeformedStructure(so3()), RIGID_BODY, [0.3, -2.0, 1.5], T=100.0,
+                         dt=0.01, rep=so3_vector_representation())
+        assert len(traj.gs) == 10_001
+        gtg = np.einsum('kji,kjl->kil', traj.gs, traj.gs)
+        assert np.max(np.abs(gtg - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(traj.gs) - 1.0)) <= 1e-12
+
+    def test_momentum_bitwise_equal_with_and_without_rep(self, registry, rng):
+        for algebra in registry:
+            for with_upsilon in (False, True):
+                structure, inertia, pi0 = random_case(algebra, rng, with_upsilon)
+                plain = integrate(structure, inertia, pi0, T=0.5, dt=0.01)
+                traj = integrate(structure, inertia, pi0, T=0.5, dt=0.01,
+                                 rep=adjoint_representation(algebra))
+                assert traj.pis.tobytes() == plain.pis.tobytes()
+                for name, values in plain.monitors.items():
+                    assert traj.monitors[name].tobytes() == values.tobytes()
+
+    def test_non_finite_group_element_rejected(self):
+        # pi0 = (800, 0, 0) is an equilibrium: pi stays finite while g = diag(e^800t, e^-800t)
+        # overflows at t = 0.89; no RuntimeWarning is raised (an error under the test
+        # configuration), and no inf or NaN is returned
+        structure = DeformedStructure(sl2r())
+        with pytest.raises(StepRejected) as info:
+            integrate(structure, InertiaTensor.identity(3), [800.0, 0.0, 0.0], T=1.0, dt=0.01,
+                      rep=sl2r_defining_representation())
+        assert str(info.value) == "non-finite group element at t = 0.89"
+        traj = integrate(structure, InertiaTensor.identity(3), [800.0, 0.0, 0.0], T=1.0,
+                         dt=0.01)
+        assert np.isfinite(traj.pis).all()
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_join_identically(self, monkeypatch, rng, block):
+        structure, inertia, pi0 = random_case(sl2r(), rng, with_upsilon=True)
+        rep = adjoint_representation(sl2r())
+        whole = integrate(structure, inertia, pi0, T=0.2, dt=0.01, rep=rep)
+        monkeypatch.setattr(dynamics, "_G_BLOCK", block)
+        blocked = integrate(structure, inertia, pi0, T=0.2, dt=0.01, rep=rep)
+        assert blocked.gs.tobytes() == whole.gs.tobytes()
+        assert blocked.pis.tobytes() == whole.pis.tobytes()
+        with pytest.raises(StepRejected, match="non-finite group element at t = 0.89"):
+            integrate(DeformedStructure(sl2r()), InertiaTensor.identity(3), [800.0, 0.0, 0.0],
+                      T=1.0, dt=0.01, rep=sl2r_defining_representation())
+
+    @pytest.mark.parametrize("block", [3, 7, 1024])
+    @pytest.mark.parametrize("call", [24, 26, 29])
+    def test_mid_block_degenerate_abort(self, monkeypatch, rng, block, call):
+        # the vector field turns degenerate at its call-th evaluation, inside step call // 4
+        structure, inertia, pi0 = random_case(so3(), rng, with_upsilon=False)
+        rep = so3_vector_representation()
+        whole = integrate(structure, inertia, pi0, T=0.2, dt=0.01, rep=rep)
+        calls = []
+
+        def degenerate_late(*args):
+            calls.append(1)
+            if len(calls) > call:
+                raise DegenerateForm("two-form degenerate at this momentum")
+            return hamiltonian_vector_field(*args)
+
+        monkeypatch.setattr(dynamics, "_G_BLOCK", block)
+        monkeypatch.setattr(dynamics, "hamiltonian_vector_field", degenerate_late)
+        traj = integrate(structure, inertia, pi0, T=0.2, dt=0.01, rep=rep)
+        kept = call // 4 + 1
+        assert traj.degenerate_at == whole.times[kept - 1]
+        assert traj.pis.tobytes() == whole.pis[:kept].tobytes()
+        assert traj.gs.tobytes() == whole.gs[:kept].tobytes()
 
 
 class TestEulerReference:
