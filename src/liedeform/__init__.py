@@ -47,7 +47,6 @@ from .errors import (
 from .phase_space import (
     DeformedStructure,
     DegeneracyReport,
-    closedness_residual,
     darboux_shift,
     degeneracy,
     lie_poisson_block,
@@ -60,6 +59,5 @@ from .symmetry import (
     group_isotropy_check,
     isotropy_subalgebra,
     lie_derivative_cocycle,
-    lie_derivative_inertia,
     lie_derivative_momentum_form,
 )

@@ -8,7 +8,7 @@ this layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,13 @@ class LieAlgebra:
     name: str
     dim: int
     f: np.ndarray
+    _f_flat: np.ndarray = field(init=False, repr=False, compare=False)  # f as N x N*N
 
     def __post_init__(self):
         f = np.ascontiguousarray(np.asarray(self.f, dtype=float))
         f.setflags(write=False)
         object.__setattr__(self, 'f', f)
+        object.__setattr__(self, '_f_flat', f.reshape(len(f), len(f) ** 2))
 
     @classmethod
     def from_structure_constants(cls, name: str, f) -> "LieAlgebra":
@@ -80,6 +82,14 @@ class LieAlgebra:
     def bracket(self, u, v) -> np.ndarray:
         """[u, v] in components."""
         return np.einsum('mab,a,b->m', self.f, np.asarray(u, float), np.asarray(v, float))
+
+
+def _require_finite(name: str, A, error=ValueError):
+    """Raise ``error`` naming the first non-finite entry of A, if A has one."""
+    bad = np.argwhere(~np.isfinite(A)).tolist()
+    if bad:
+        index = tuple(bad[0]) if len(bad[0]) > 1 else bad[0][0]
+        raise error(f"{name} has a non-finite entry {A[index]} at {index}")
 
 
 def _transpose_residual(A, symmetric: bool = False):
@@ -115,8 +125,8 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
 
 
 def ad_matrix(algebra: LieAlgebra, u) -> np.ndarray:
-    """Matrix of ad_u, (ad_u)^m_n = f[m][k][n] u^k, so ad_u @ v = [u, v]."""
-    return np.einsum('mkn,k->mn', algebra.f, np.asarray(u, float))
+    """Matrix of ad_u, (ad_u)^m_n = f[m][k][n] u^k, so ad_u @ v = [u, v]; one per row of a stack."""
+    return np.einsum('mkn,...k->...mn', algebra.f, np.asarray(u, float))
 
 
 #: 1/k! for k = 1..24 and 0 for k = 0, as five chunks of five: chunk j holds the

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import __version__
 from .algebra import AXIOM_TOL, get_algebra, load_algebra, validate_algebra
-from .cohomology import (cocycle_residual, cohomology_dimensions, delta1_scalar,
-                         solve_primitive)
+from .cohomology import _primitive, cocycle_residual, cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
-from .errors import DegenerateForm, LieDeformError, NotACocycle, NotExact, UpsilonPresent
-from .phase_space import (RANK_TOL, DeformedStructure, _poisson, darboux_shift, decide_grid,
-                          degeneracy, load_deformation, omega_matrix)
+from .errors import DegenerateForm, LieDeformError, NotExact, UpsilonPresent
+from .phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid, degeneracy,
+                          load_deformation)
 from .symmetry import isotropy_subalgebra
 
 EXIT_OK = 0
@@ -160,7 +159,7 @@ def cmd_cohomology(args) -> int:
     structure = resolve_structure(args, algebra)
     dims = cohomology_dimensions(algebra)
     try:
-        xi = solve_primitive(algebra, structure.Theta)[0]
+        xi = _primitive(algebra, structure.Theta)[0]
     except NotExact:
         xi = None
     _emit({"algebra": algebra.name, "cocycle_residual": cocycle_residual(algebra, structure.Theta),
@@ -175,15 +174,12 @@ def cmd_omega(args) -> int:
     structure = resolve_structure(args, algebra)
     pi = parse_vector(args.pi, algebra.dim, "--pi") if args.pi else np.zeros(algebra.dim)
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
-    # poisson_tensor less its second degeneracy decision: the same bytes
-    poisson = _poisson(omega_matrix(structure, pi)) if report.nullity == 0 else None
-    darboux_xi = None
     try:
-        _, darboux_xi = darboux_shift(structure, pi)
-    except (UpsilonPresent, NotExact, NotACocycle):
-        pass
+        darboux_xi = darboux_shift(structure, pi)[1]
+    except (UpsilonPresent, NotExact):
+        darboux_xi = None
     _emit({"algebra": algebra.name, "rank": report.rank, "nullity": report.nullity,
-           "kernel": report.kernel, "poisson": poisson, "darboux_xi": darboux_xi},
+           "kernel": report.kernel, "poisson": report.poisson, "darboux_xi": darboux_xi},
           {**_structure_payload(structure), "pi": pi}, args.output)
     return EXIT_OK
 
@@ -232,7 +228,11 @@ def parse_axis(text: str):
         kind, idx = head.split(":")
         indices = tuple(int(tok) for tok in idx.split(","))
         start, stop, num = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(num))  # num < 0 raises
+        start, stop = float(start), float(stop)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            values = np.linspace(start, stop, int(num))  # num < 0 raises
+        if not np.isfinite(np.append(values, (start, stop))).all():
+            raise ValueError("start, stop and every point must be finite")
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad axis spec {text!r}: {exc}") from exc
     if kind not in ("theta", "upsilon", "xi"):

@@ -116,6 +116,11 @@ def solve_primitive(algebra: LieAlgebra, Theta):
     res = cocycle_residual(algebra, Theta)
     if res > adm:
         raise NotACocycle(f"delta2 residual {res:.3e} exceeds tolerance {adm:.3e}")
+    return _primitive(algebra, Theta)
+
+
+def _primitive(algebra: LieAlgebra, Theta: np.ndarray):
+    """solve_primitive of a float Theta already admitted as a cocycle, as DeformedStructure's is."""
     A = _coboundary_matrix(algebra)
     b = np.array([Theta[a, c] for a, c in _pair_index(algebra.dim)])
     xi, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
@@ -152,5 +157,5 @@ def cohomology_dimensions(algebra: LieAlgebra) -> CohomologyDims:
     rank_d2 = int(np.linalg.matrix_rank(delta2(algebra, E).reshape(m, -1))) if m else 0
     z2 = m - rank_d2
     b2 = int(np.linalg.matrix_rank(_coboundary_matrix(algebra))) if m else 0
-    derived = int(np.linalg.matrix_rank(algebra.f.reshape(n, n * n)))
+    derived = int(np.linalg.matrix_rank(algebra._f_flat))
     return CohomologyDims(z2=z2, b2=b2, h2=z2 - b2, h1=n - derived)

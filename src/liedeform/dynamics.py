@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (LieAlgebra, _expm, _transpose_residual, is_semisimple, killing_form,
-                      so3)
-from .cohomology import solve_primitive
+from .algebra import _expm, _require_finite, _transpose_residual, is_semisimple, killing_form, so3
+from .cohomology import _primitive
 from .errors import DegenerateForm, NotExact, StepRejected
 from .phase_space import DeformedStructure, _nullity, lie_poisson_block
 
@@ -52,9 +51,7 @@ class InertiaTensor:
         I_inv = np.asarray(self.I_inv, dtype=float)
         if I_inv.ndim != 2 or I_inv.shape[0] != I_inv.shape[1]:
             raise ValueError(f"inertia must be square, got shape {I_inv.shape}")
-        if not np.isfinite(I_inv).all():
-            i, j = np.argwhere(~np.isfinite(I_inv))[0]
-            raise ValueError(f"inertia has a non-finite entry {I_inv[i, j]} at ({i}, {j})")
+        _require_finite("inertia", I_inv)
         residual, bound = _transpose_residual(I_inv, symmetric=True)
         if not residual <= bound:
             raise ValueError("inertia must be symmetric")
@@ -135,7 +132,7 @@ def _casimir_monitor(structure: DeformedStructure):
     if not structure.upsilon_zero or not is_semisimple(algebra):
         return None
     try:
-        xi, _, _ = solve_primitive(algebra, structure.Theta)
+        xi, _, _ = _primitive(algebra, structure.Theta)
     except NotExact:
         return None
     B_inv = np.linalg.inv(killing_form(algebra))
@@ -211,11 +208,13 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     without ``rep``.  The exponentials are formed every _G_BLOCK steps, so memory
     beyond the trajectory does not grow with the run.
 
-    A mid-run degeneracy returns the partial trajectory with ``degenerate_at`` set.
-    A non-finite momentum or group element raises StepRejected naming the first time
-    at which it occurs, and so does a monitor that overflows on finite states.
+    A mid-run degeneracy returns the partial trajectory with ``degenerate_at`` set.  A
+    non-finite pi0 raises ValueError.  A non-finite momentum or group element raises
+    StepRejected naming the first time at which it occurs, and so does a monitor that
+    overflows on finite states.
     """
     pi0 = np.asarray(pi0, dtype=float)
+    _require_finite("pi0", pi0)
     n = pi0.size
     steps = _step_count(T, dt)
     times = dt * np.arange(steps + 1)

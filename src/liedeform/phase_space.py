@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, _transpose_residual
-from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, _delta2, admission_tol,
-                         cocycle_residual, delta1_scalar, solve_primitive)
+from .algebra import LieAlgebra, _require_finite, _transpose_residual
+from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, _delta2, _primitive,
+                         admission_tol, delta1_scalar)
 from .errors import DegenerateForm, NotACocycle, NotAntisymmetric, UpsilonPresent
 
 #: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
@@ -58,11 +58,8 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
                           f"{admission_tol(algebra, Theta[g]):.3e}")
     if first < len(Theta):
         k = np.argmax(asymmetric[first])
-        name, A = ("Theta", "Upsilon")[k], pair[first, k]
-        bad = np.argwhere(~np.isfinite(A))
-        if bad.size:
-            i, j = bad[0]
-            raise NotAntisymmetric(f"{name} has a non-finite entry {A[i, j]} at ({i}, {j})")
+        name = ("Theta", "Upsilon")[k]
+        _require_finite(name, pair[first, k], NotAntisymmetric)
         raise NotAntisymmetric(f"{name} fails antisymmetry: residual "
                                f"{residual[first, k]:.3e} > {bound[first, k]:.3e}")
 
@@ -94,17 +91,15 @@ def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
 class DeformedStructure:
     """A Lie algebra together with admitted deformations Theta and Upsilon.
 
-    Theta and Upsilon are read-only copies of the caller's arrays.  What depends
-    only on the structure is computed once: ``upsilon_zero`` (Upsilon has no
-    nonzero entry), ``f`` flattened to N x N*N, so that C(pi) is one matmul, and
-    the N x N identity.
+    Theta and Upsilon are read-only copies of the caller's arrays.  Theta is admitted
+    as a two-cocycle here, once: its primitive is ``cohomology._primitive``.  Computed
+    once too: ``upsilon_zero`` (Upsilon has no nonzero entry) and the N x N identity.
     """
 
     algebra: LieAlgebra
     Theta: np.ndarray = None
     Upsilon: np.ndarray = None
     upsilon_zero: bool = field(init=False)
-    _f_flat: np.ndarray = field(init=False, repr=False)
     _eye: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -117,7 +112,6 @@ class DeformedStructure:
         object.__setattr__(self, 'Theta', Theta)
         object.__setattr__(self, 'Upsilon', Upsilon)
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
-        object.__setattr__(self, '_f_flat', self.algebra.f.reshape(n, n * n))
         eye = np.eye(n)
         eye.setflags(write=False)
         object.__setattr__(self, '_eye', eye)
@@ -126,7 +120,7 @@ class DeformedStructure:
 def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:
     """Top-left block C(pi) = pi_m f[m] + Theta."""
     n = structure.algebra.dim
-    return np.asarray(pi, float).dot(structure._f_flat).reshape(n, n) + structure.Theta
+    return np.asarray(pi, float).dot(structure.algebra._f_flat).reshape(n, n) + structure.Theta
 
 
 def omega_matrix(structure: DeformedStructure, pi) -> np.ndarray:
@@ -138,19 +132,28 @@ def omega_matrix(structure: DeformedStructure, pi) -> np.ndarray:
 class DegeneracyReport:
     rank: int
     nullity: int
-    kernel: np.ndarray  # 2N x nullity, orthonormal columns
+    kernel: np.ndarray          # 2N x nullity, orthonormal columns
+    poisson: np.ndarray | None  # the 2N x 2N Poisson tensor where nullity is 0, else None
 
 
 def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> DegeneracyReport:
-    """Rank and nullity of the two-form matrix by ``_nullity``; a kernel basis where degenerate."""
+    """Rank and nullity of the two-form matrix M by ``_nullity``, decided once.
+
+    Where M is degenerate the report carries a kernel basis from the SVD of M; where it
+    is not, the Poisson tensor ``_poisson(M)``.  Raises ValueError where pi has a
+    non-finite entry, or where M is nondegenerate but its inverse is not finite.
+    """
+    pi = np.asarray(pi, float)
+    _require_finite("pi", pi)
     C = lie_poisson_block(structure, pi)
     n = structure.algebra.dim
     nullity = int(_nullity(structure._eye + C @ structure.Upsilon, rank_tol))
-    kernel = np.empty((2 * n, 0))
+    M = _omega_blocks(C, structure.Upsilon)
     if nullity:
-        _, _, vt = np.linalg.svd(_omega_blocks(C, structure.Upsilon))
-        kernel = vt[2 * n - nullity:].T
-    return DegeneracyReport(rank=2 * n - nullity, nullity=nullity, kernel=kernel)
+        kernel, poisson = np.linalg.svd(M)[2][2 * n - nullity:].T, None
+    else:
+        kernel, poisson = np.empty((2 * n, 0)), _poisson(M)
+    return DegeneracyReport(rank=2 * n - nullity, nullity=nullity, kernel=kernel, poisson=poisson)
 
 
 def poisson_tensor(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -160,7 +163,7 @@ def poisson_tensor(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL)
         raise DegenerateForm(
             f"two-form degenerate at this momentum (nullity {report.nullity})",
             kernel=report.kernel)
-    return _poisson(omega_matrix(structure, pi))
+    return report.poisson
 
 
 @dataclass(frozen=True)
@@ -177,22 +180,15 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi,
     Point by point the checks and bitwise results of DeformedStructure, degeneracy and
     poisson_tensor: C(pi) as lie_poisson_block forms it, one stacked ``_nullity`` and ``_poisson``.
     """
+    pi = np.asarray(pi, float)
+    _require_finite("pi", pi)
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
     _admit(algebra, Theta, Upsilon)
     n = algebra.dim
-    C = np.asarray(pi, float).dot(algebra.f.reshape(n, n * n)).reshape(n, n) + Theta
+    C = pi.dot(algebra._f_flat).reshape(n, n) + Theta
     nullity = _nullity(np.eye(n) + C @ Upsilon, rank_tol)
     return GridReport(rank=2 * n - nullity, nullity=nullity,
                       poisson=_poisson(_omega_blocks(C, Upsilon)[nullity == 0]))
-
-
-def closedness_residual(structure: DeformedStructure) -> float:
-    """Obstruction to closedness of the deformed form: the cocycle residual of Theta.
-
-    Constant Upsilon contributes nothing, so the Maurer-Cartan identity
-    reduces closedness to the two-cocycle condition on Theta.
-    """
-    return cocycle_residual(structure.algebra, structure.Theta)
 
 
 def darboux_shift(structure: DeformedStructure, pi):
@@ -203,7 +199,7 @@ def darboux_shift(structure: DeformedStructure, pi):
     """
     if not structure.upsilon_zero:
         raise UpsilonPresent("Darboux shift applies only with Upsilon = 0")
-    xi, _, _ = solve_primitive(structure.algebra, structure.Theta)
+    xi, _, _ = _primitive(structure.algebra, structure.Theta)
     return np.asarray(pi, float) - xi, xi
 
 

@@ -18,22 +18,17 @@ NULLSPACE_TOL = 1e-10
 
 
 def lie_derivative_cocycle(algebra: LieAlgebra, u, Theta) -> np.ndarray:
-    """(L_u Theta)_{mn} = Theta(ad_u e_m, e_n) + Theta(e_m, ad_u e_n)."""
+    """(L_u Theta)_{mn} = Theta(ad_u e_m, e_n) + Theta(e_m, ad_u e_n); one per row of a stack u."""
     ad = ad_matrix(algebra, u)
     Theta = np.asarray(Theta, float)
-    return ad.T @ Theta + Theta @ ad
+    return ad.swapaxes(-1, -2) @ Theta + Theta @ ad
 
 
 def lie_derivative_momentum_form(algebra: LieAlgebra, u, Upsilon) -> np.ndarray:
-    """Contravariant Lie derivative: -(ad_u Upsilon + Upsilon ad_u^T)."""
+    """Contravariant -(ad_u Upsilon + Upsilon ad_u^T), also of inertia; one per row of a stack u."""
     ad = ad_matrix(algebra, u)
     Upsilon = np.asarray(Upsilon, float)
-    return -(ad @ Upsilon + Upsilon @ ad.T)
-
-
-def lie_derivative_inertia(algebra: LieAlgebra, u, inertia_inv) -> np.ndarray:
-    """Same contravariant rule applied to the symmetric inertia tensor."""
-    return lie_derivative_momentum_form(algebra, u, inertia_inv)
+    return -(ad @ Upsilon + Upsilon @ ad.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -47,16 +42,12 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
                         inertia_inv=None) -> IsotropySubalgebra:
     """Null space of u -> (L_u Theta, L_u Upsilon[, L_u I]) with closure check."""
     n = algebra.dim
-    cols = []
-    for i in range(n):
-        u = np.zeros(n)
-        u[i] = 1.0
-        parts = [lie_derivative_cocycle(algebra, u, Theta).ravel(),
-                 lie_derivative_momentum_form(algebra, u, Upsilon).ravel()]
-        if inertia_inv is not None:
-            parts.append(lie_derivative_inertia(algebra, u, inertia_inv).ravel())
-        cols.append(np.concatenate(parts))
-    A = np.array(cols).T
+    u = np.eye(n)  # column i of the map is its value at basis element e_i
+    parts = [lie_derivative_cocycle(algebra, u, Theta),
+             lie_derivative_momentum_form(algebra, u, Upsilon)]
+    if inertia_inv is not None:
+        parts.append(lie_derivative_momentum_form(algebra, u, inertia_inv))
+    A = np.concatenate([part.reshape(n, -1) for part in parts], axis=1).T
     _, s, vt = np.linalg.svd(A)
     smax = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > NULLSPACE_TOL * smax))

@@ -9,7 +9,7 @@ import pytest
 
 import liedeform
 from liedeform.algebra import so3
-from liedeform import cli, phase_space
+from liedeform import cli, cohomology, phase_space
 from liedeform.cli import main, parse_axis
 
 
@@ -27,6 +27,20 @@ def subprocess_env():
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def count_delta2(monkeypatch):
+    """Count the cocycle-residual evaluations of every binding of cohomology._delta2."""
+    calls = []
+    delta2 = cohomology._delta2
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return delta2(*args, **kwargs)
+
+    for module in (cohomology, phase_space):
+        monkeypatch.setattr(module, "_delta2", counted)
+    return calls
 
 
 @pytest.fixture()
@@ -105,6 +119,15 @@ class TestCohomology:
         assert not report["exact"]
         assert report["xi"] is None
 
+    def test_admits_theta_once(self, monkeypatch, tmp_path):
+        # delta2 runs at admission, on cohomology_dimensions' unit cochains and for the
+        # reported residual; the primitive is solved without admitting Theta again
+        calls = count_delta2(monkeypatch)
+        out = tmp_path / "report.json"
+        assert run(["cohomology", "--algebra", "so3", "--xi", "0,0,1", "-o", out]) == 0
+        assert read_json(out)["exact"]
+        assert len(calls) == 3
+
 
 class TestOmega:
     def test_nondegenerate(self, fg_deformation, tmp_path):
@@ -170,6 +193,14 @@ class TestOmega:
             assert run(["omega", *argv, "-o", out]) == 0
             assert read_json(out)["nullity"] == nullity
             assert len(calls) == 1
+
+    def test_darboux_shift_does_not_readmit_theta(self, monkeypatch, tmp_path):
+        calls = count_delta2(monkeypatch)
+        out = tmp_path / "report.json"
+        assert run(["omega", "--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0,0",
+                    "-o", out]) == 0
+        assert read_json(out)["darboux_xi"] is not None
+        assert len(calls) == 1  # admission only
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
     def test_non_finite_deformation_exit_2(self, tmp_path, capsys, entry):
@@ -303,6 +334,20 @@ def test_wrong_vector_length_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, name", [
+    (["omega", "--pi"], "pi"),
+    (["sweep", "--axis", "xi:0=0:1:2", "--pi0"], "pi"),
+    (["simulate", "--inertia", "identity", "--T", "1", "--dt", "0.05", "--pi0"], "pi0"),
+])
+def test_non_finite_momentum_exit_2(tmp_path, capsys, argv, name, bad):
+    # rejected before LAPACK ("SVD did not converge") and before the first step
+    out = tmp_path / "out"
+    assert run([argv[0], "--algebra", "so3", *argv[1:], f"0,{bad},0", "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {name} has a non-finite entry {bad} at 1\n"
+    assert not out.exists()
+
+
 SIMULATE = ["simulate", "--pi0", "1,0,0", "--T", "1", "--dt", "0.1"]
 
 
@@ -429,6 +474,17 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: bad axis spec 'theta:0,1=0:2:-3'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["theta:0,1=0:inf:3", "theta:0,1=nan:1:3",
+                                      "upsilon:0,1=-inf:0:1", "xi:0=nan:1:0",
+                                      "theta:0,1=-1e308:1e308:3"])
+    def test_non_finite_axis_exit_2(self, tmp_path, capsys, axis):
+        # not numpy's linspace RuntimeWarning (an error under the test configuration)
+        out = tmp_path / "grid.csv"
+        assert run(["sweep", "--algebra", "so3", "--axis", axis, "--output", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad axis spec {axis!r}: start, stop and every point must be finite\n")
+        assert not out.exists()
+
     def test_rejects_non_cocycle_exit_2(self, tmp_path, capsys):
         f = np.zeros((4, 4, 4))
         f[:3, :3, :3] = so3().f
@@ -485,6 +541,8 @@ def test_parse_axis():
         parse_axis("theta:0=0:2:9")
     with pytest.raises(ValueError):
         parse_axis("xi:0,1=0:2:9")
+    with pytest.raises(ValueError, match="start, stop and every point must be finite"):
+        parse_axis("theta:0,1=0:inf:9")
 
 
 SCIPY_FREE_SCRIPT = r"""

@@ -321,6 +321,14 @@ class TestIntegrate:
         assert not traj.complete
         assert len(traj.times) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_momentum_rejected(self, bad):
+        # at t = 0, before a step is taken, and without a RuntimeWarning
+        for rep in (None, so3_vector_representation()):
+            with pytest.raises(ValueError, match=f"^pi0 has a non-finite entry {bad} at 0$"):
+                integrate(DeformedStructure(so3()), RIGID_BODY, [bad, 0.0, 0.0], T=1.0, dt=0.05,
+                          rep=rep)
+
     def test_non_finite_rejected(self):
         # grotesque step size blows the quadratic vector field up; the overflow is reported
         # as StepRejected, not as a RuntimeWarning (an error under the test configuration)

@@ -7,9 +7,8 @@ from liedeform.cohomology import cocycle_residual, delta1_scalar, is_symplectic_
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
 from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
                               NotExact, UpsilonPresent)
-from liedeform.phase_space import (RANK_TOL, DeformedStructure, closedness_residual,
-                                   darboux_shift, decide_grid, degeneracy,
-                                   lie_poisson_block, load_deformation,
+from liedeform.phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid,
+                                   degeneracy, lie_poisson_block, load_deformation,
                                    omega_matrix, poisson_tensor)
 
 from conftest import random_antisymmetric
@@ -207,6 +206,35 @@ class TestDegeneracy:
         M = omega_matrix(S, np.zeros(2))
         assert np.max(np.abs(M @ report.kernel)) < 1e-12
 
+    def test_carries_the_poisson_tensor(self, registry, rng):
+        # poisson_tensor's bytes, and _poisson's of omega_matrix, where nondegenerate, also on
+        # GL(3)-conjugated algebras; None where degenerate
+        from test_dynamics import conjugated
+        P = np.random.default_rng(7).normal(size=(3, 3, 3)) + 3.0 * np.eye(3)
+        for algebra in registry + [conjugated(a, p) for a, p in zip((so3(), sl2r(), se2()), P)]:
+            for _ in range(20):
+                S = random_structure(algebra, rng)
+                pi = rng.normal(size=algebra.dim)
+                report = degeneracy(S, pi)
+                assert report.nullity == 0
+                assert report.poisson.tobytes() == poisson_tensor(S, pi).tobytes()
+                assert report.poisson.tobytes() == phase_space._poisson(
+                    omega_matrix(S, pi)).tobytes()
+        assert degeneracy(fg_structure(1.0, 1.0), np.zeros(2)).poisson is None
+
+    def test_overflowing_inverse_raises(self):
+        with pytest.raises(ValueError, match="^the inverse of the two-form matrix is not finite$"):
+            degeneracy(DeformedStructure(so3()), np.full(3, 1e308))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momentum_raises_before_lapack(self, bad):
+        # not LAPACK's "SVD did not converge", and no RuntimeWarning (an error under the
+        # test configuration) from forming C(pi)
+        S = DeformedStructure(so3(), None, 0.3 * random_antisymmetric(np.random.default_rng(0), 3))
+        for decide in (degeneracy, poisson_tensor):
+            with pytest.raises(ValueError, match=f"^pi has a non-finite entry {bad} at 1$"):
+                decide(S, np.array([0.5, bad, 0.0]))
+
 
 class TestPoissonTensor:
     def test_canonical_inverse(self):
@@ -281,6 +309,11 @@ class TestDecideGrid:
         coarse = decide_grid(abelian(2), Theta, Upsilon, np.zeros(2), rank_tol=0.2)
         assert coarse.nullity.tolist() == [2, 2, 2, 2]
         assert coarse.poisson.shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momentum_raises_before_lapack(self, bad):
+        with pytest.raises(ValueError, match=f"^pi has a non-finite entry {bad} at 2$"):
+            decide_grid(so3(), np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), [0.0, 1.0, bad])
 
     def test_overflowing_inverse_raises(self):
         with pytest.raises(ValueError, match="^the inverse of the two-form matrix is not finite$"):
@@ -367,17 +400,6 @@ class TestOneNondegeneracyRule:
                     assert field_degenerate == (nullity > 0)
             seen.update(grid.nullity.tolist())
         assert seen == {0, 2}
-
-
-class TestClosedness:
-    def test_coboundary_closed(self, registry, rng):
-        for algebra in registry:
-            S = random_structure(algebra, rng, with_upsilon=False)
-            assert closedness_residual(S) < 1e-13
-
-    def test_abelian_any_theta_closed(self, rng):
-        S = DeformedStructure(abelian(3), random_antisymmetric(rng, 3))
-        assert closedness_residual(S) == 0.0
 
 
 class TestDarbouxShift:

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from liedeform.algebra import abelian, ad_exp, so3
+from liedeform.algebra import abelian, ad_exp, se2, sl2r, so3
 from liedeform.cohomology import delta1_scalar
 from liedeform.symmetry import (group_isotropy_check, isotropy_subalgebra,
-                                lie_derivative_cocycle,
-                                lie_derivative_inertia,
-                                lie_derivative_momentum_form)
+                                lie_derivative_cocycle, lie_derivative_momentum_form)
 
 from conftest import random_antisymmetric
 
@@ -79,6 +77,22 @@ class TestLieDerivativeMomentumForm:
                 fd = (conj(h) - conj(-h)) / (2 * h)
                 exact = lie_derivative_momentum_form(algebra, u, Upsilon)
                 assert np.max(np.abs(fd - exact)) < 1e-7
+
+
+class TestStackedLieDerivatives:
+    def test_stack_matches_row_by_row(self, registry, rng):
+        # a (K, N) stack of u gives each row's bytes, also on GL(3)-conjugated algebras
+        from test_dynamics import conjugated
+        P = np.random.default_rng(7).normal(size=(3, 3, 3)) + 3.0 * np.eye(3)
+        for algebra in registry + [conjugated(a, p) for a, p in zip((so3(), sl2r(), se2()), P)]:
+            n = algebra.dim
+            u = np.concatenate([np.eye(n), rng.normal(size=(6, n))])
+            A = random_antisymmetric(rng, n)
+            for derivative in (lie_derivative_cocycle, lie_derivative_momentum_form):
+                stacked = derivative(algebra, u, A)
+                assert stacked.shape == (n + 6, n, n)
+                for row, value in zip(u, stacked):
+                    assert value.tobytes() == derivative(algebra, row, A).tobytes()
 
 
 class TestIsotropySubalgebra:
