@@ -249,10 +249,10 @@ def get_algebra(name: str) -> LieAlgebra:
     if name in _REGISTRY:
         return _REGISTRY[name]()
     if name.startswith("abelian"):
-        n = int(name[len("abelian"):])
-        if n <= 0:
-            raise ValueError(f"abelian dimension must be positive, got {n}")
-        return abelian(n)
+        n = name[len("abelian"):]
+        if not (n.isdecimal() and int(n) > 0):
+            raise ValueError(f"registry algebra {name!r}: abelian<N> needs a positive integer N")
+        return abelian(int(n))
     raise KeyError(f"unknown registry algebra {name!r}; known: {registry_names()}")
 
 

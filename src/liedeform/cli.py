@@ -82,10 +82,15 @@ def input_hash(payload) -> str:
 
 def parse_vector(text: str, n: int, option: str) -> np.ndarray:
     """The n comma-separated floats given to ``option``."""
-    values = np.array([float(tok) for tok in text.split(",")], dtype=float)
-    if values.size != n:
-        raise ValueError(f"{option}: expected {n} components, got {values.size}")
-    return values
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{option}: {tok!r} is not a number") from None
+    if len(values) != n:
+        raise ValueError(f"{option}: expected {n} components, got {len(values)}")
+    return np.array(values)
 
 
 def resolve_algebra(spec: str):

@@ -14,11 +14,12 @@ permutation (a, m, n) -> (n, m, a); both vanish on the same cocycle set.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, _transpose_residual
+from .algebra import LieAlgebra, _require_finite, _transpose_residual
 from .errors import NotACocycle, NotAntisymmetric, NotExact
 
 #: absolute cocycle-admission tolerance for integer-valued structure constants
@@ -34,9 +35,10 @@ def admission_tol(algebra: LieAlgebra, Theta):
     Theta = np.asarray(Theta, float)
     integral = ((np.max(np.abs(algebra.f - np.round(algebra.f)), initial=0.0) == 0.0)
                 & (np.max(np.abs(Theta - np.round(Theta)), axis=(-2, -1), initial=0.0) == 0.0))
-    scale = (np.maximum(np.max(np.abs(Theta), axis=(-2, -1), initial=0.0), 1.0)
-             * max(np.max(np.abs(algebra.f), initial=0.0), 1.0))
-    return np.where(integral, ADMISSION_TOL_ABS, ADMISSION_TOL_REL * scale)[()]
+    # the constant first: max|Theta| * max|f| alone can overflow where the bound does not
+    rel = (ADMISSION_TOL_REL * np.maximum(np.max(np.abs(Theta), axis=(-2, -1), initial=0.0), 1.0)
+           * max(np.max(np.abs(algebra.f), initial=0.0), 1.0))
+    return np.where(integral, ADMISSION_TOL_ABS, rel)[()]
 
 
 def delta1_scalar(algebra: LieAlgebra, xi) -> np.ndarray:
@@ -79,27 +81,61 @@ def cocycle_residual(algebra: LieAlgebra, Theta):
     return np.max(np.abs(delta2(algebra, Theta)), axis=(-3, -2, -1))
 
 
-def is_symplectic_cocycle(algebra: LieAlgebra, theta) -> bool:
-    """True iff theta is antisymmetric and has vanishing coboundary (within admission_tol).
+def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
+    """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error.
 
-    Antisymmetry is judged by the rule DeformedStructure admits Theta by.
+    The one admission rule: DeformedStructure, decide_grid, solve_primitive and
+    is_symplectic_cocycle (the last two with Upsilon = 0) all apply it.
     """
+    n = algebra.dim
+    for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise NotAntisymmetric(f"{name} must be square, got shape {A.shape[1:]}")
+    if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
+        raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
+    pair = np.array((Theta, Upsilon)).swapaxes(0, 1)  # (G, 2, N, N), as np.stack but faster
+    residual, bound = _transpose_residual(pair)
+    asymmetric = ~(residual <= bound)
+    first = np.concatenate((asymmetric.any(axis=1), [True])).argmax()  # first asymmetric, or G
+    with np.errstate(over="ignore", invalid="ignore"):  # near the float64 limit: NaN, rejected
+        res = np.max(np.abs(_delta2(algebra, Theta[:first])), axis=(-3, -2, -1))
+        # no admission tolerance lies below the smaller constant: only points above it can fail
+        suspect = np.flatnonzero(~(res <= min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL)))
+        tol = admission_tol(algebra, Theta[suspect]) if suspect.size else None
+    if suspect.size and not np.all(res[suspect] <= tol):
+        g = np.argmax(~(res[suspect] <= tol))
+        raise NotACocycle(f"Theta is not a two-cocycle: residual {res[suspect[g]]:.3e} > "
+                          f"{tol[g]:.3e}")
+    if first < len(Theta):
+        k = np.argmax(asymmetric[first])
+        name = ("Theta", "Upsilon")[k]
+        _require_finite(name, pair[first, k], NotAntisymmetric)
+        raise NotAntisymmetric(f"{name} fails antisymmetry: residual "
+                               f"{residual[first, k]:.3e} > {bound[first, k]:.3e}")
+
+
+def is_symplectic_cocycle(algebra: LieAlgebra, theta) -> bool:
+    """True iff ``_admit`` admits theta with Upsilon = 0: N x N, finite, antisymmetric, closed."""
     theta = np.asarray(theta, float)
-    residual, bound = _transpose_residual(theta)
-    if not residual <= bound:
+    try:
+        _admit(algebra, theta[None], np.zeros_like(theta)[None])
+    except (NotAntisymmetric, NotACocycle):
         return False
-    coboundary = float(np.max(np.abs(delta1_vector(algebra, theta))))
-    return coboundary <= admission_tol(algebra, theta)
+    return True
 
 
-def _pair_index(n: int):
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+@functools.cache
+def _pair_index(n: int) -> np.ndarray:
+    """Read-only rows (a, b) of the pairs a < b; cached by N, as each op builds a fresh algebra."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _coboundary_matrix(algebra: LieAlgebra) -> np.ndarray:
     """Matrix of xi -> delta1_scalar(xi) on the ordered-pair basis (a < b)."""
-    pairs = _pair_index(algebra.dim)
-    return np.array([[-algebra.f[m, a, b] for m in range(algebra.dim)] for a, b in pairs])
+    a, b = _pair_index(algebra.dim)
+    return -algebra.f[:, a, b].T
 
 
 def solve_primitive(algebra: LieAlgebra, Theta):
@@ -107,23 +143,19 @@ def solve_primitive(algebra: LieAlgebra, Theta):
 
     Returns (xi, residual, kernel_dim) where residual is the max-entry norm of
     Theta - delta1(xi) and kernel_dim the dimension of the coboundary map's
-    kernel (nonzero only off the semisimple branch).  Raises NotACocycle if
-    Theta fails the cocycle condition and NotExact if no primitive exists
-    within the relative tolerance.
+    kernel (nonzero only off the semisimple branch).  Raises ``_admit``'s
+    NotAntisymmetric or NotACocycle if Theta is not admitted, and NotExact if no
+    primitive exists within the relative tolerance.
     """
     Theta = np.asarray(Theta, float)
-    adm = admission_tol(algebra, Theta)
-    res = cocycle_residual(algebra, Theta)
-    if res > adm:
-        raise NotACocycle(f"delta2 residual {res:.3e} exceeds tolerance {adm:.3e}")
+    _admit(algebra, Theta[None], np.zeros_like(Theta)[None])
     return _primitive(algebra, Theta)
 
 
 def _primitive(algebra: LieAlgebra, Theta: np.ndarray):
     """solve_primitive of a float Theta already admitted as a cocycle, as DeformedStructure's is."""
-    A = _coboundary_matrix(algebra)
-    b = np.array([Theta[a, c] for a, c in _pair_index(algebra.dim)])
-    xi, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    a, b = _pair_index(algebra.dim)
+    xi, _, rank, _ = np.linalg.lstsq(_coboundary_matrix(algebra), Theta[a, b], rcond=None)
     residual = float(np.max(np.abs(Theta - delta1_scalar(algebra, xi)), initial=0.0))
     scale = float(np.max(np.abs(Theta), initial=0.0))
     if residual > EXACTNESS_TOL * scale:
@@ -148,14 +180,12 @@ def cohomology_dimensions(algebra: LieAlgebra) -> CohomologyDims:
     derived algebra (rank of the flattened bracket map).
     """
     n = algebra.dim
-    pairs = _pair_index(n)
-    m = len(pairs)
+    a, b = _pair_index(n)
+    m = len(a)
     # delta2 on the ordered-pair basis of antisymmetric 2-cochains, one unit cochain per row
     E = np.zeros((m, n, n))
-    for k, (a, b) in enumerate(pairs):
-        E[k, a, b], E[k, b, a] = 1.0, -1.0
-    rank_d2 = int(np.linalg.matrix_rank(delta2(algebra, E).reshape(m, -1))) if m else 0
-    z2 = m - rank_d2
+    E[np.arange(m), a, b], E[np.arange(m), b, a] = 1.0, -1.0
+    z2 = m - (int(np.linalg.matrix_rank(_delta2(algebra, E).reshape(m, -1))) if m else 0)
     b2 = int(np.linalg.matrix_rank(_coboundary_matrix(algebra))) if m else 0
     derived = int(np.linalg.matrix_rank(algebra._f_flat))
     return CohomologyDims(z2=z2, b2=b2, h2=z2 - b2, h1=n - derived)

@@ -26,42 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, _require_finite, _transpose_residual
-from .cohomology import (ADMISSION_TOL_ABS, ADMISSION_TOL_REL, _delta2, _primitive,
-                         admission_tol, delta1_scalar)
-from .errors import DegenerateForm, NotACocycle, NotAntisymmetric, UpsilonPresent
+from .algebra import LieAlgebra, _require_finite
+from .cohomology import _admit, _primitive, delta1_scalar
+from .errors import DegenerateForm, UpsilonPresent
 
 #: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
 RANK_TOL = 1e-10
-
-
-def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
-    """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error."""
-    n = algebra.dim
-    for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
-            raise NotAntisymmetric(f"{name} must be square, got shape {A.shape[1:]}")
-    if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
-        raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
-    pair = np.stack((Theta, Upsilon), axis=1)
-    residual, bound = _transpose_residual(pair)
-    asymmetric = ~(residual <= bound)
-    first = np.argmax(np.append(asymmetric.any(axis=1), True))  # first asymmetric point, or G
-    res = np.max(np.abs(_delta2(algebra, Theta[:first])), axis=(-3, -2, -1))
-    # no admission tolerance lies below the smaller constant: only points above it can fail
-    suspect = np.flatnonzero(~(res <= min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL)))
-    failing = (suspect[~(res[suspect] <= admission_tol(algebra, Theta[suspect]))]
-               if suspect.size else suspect)
-    if failing.size:
-        g = failing[0]
-        raise NotACocycle(f"Theta is not a two-cocycle: residual {res[g]:.3e} > "
-                          f"{admission_tol(algebra, Theta[g]):.3e}")
-    if first < len(Theta):
-        k = np.argmax(asymmetric[first])
-        name = ("Theta", "Upsilon")[k]
-        _require_finite(name, pair[first, k], NotAntisymmetric)
-        raise NotAntisymmetric(f"{name} fails antisymmetry: residual "
-                               f"{residual[first, k]:.3e} > {bound[first, k]:.3e}")
 
 
 def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
@@ -74,8 +44,11 @@ def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
 
 def _poisson(M: np.ndarray) -> np.ndarray:
     """Inverse of (..., 2N, 2N) stacks of M, antisymmetrized; ValueError where it is not finite."""
-    Pi = np.linalg.inv(M)
-    if not np.isfinite(Pi).all():  # before the subtraction, where inf - inf would warn
+    try:
+        Pi = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # LU on entries near the float64 limit can meet a zero pivot
+        Pi = None
+    if Pi is None or not np.isfinite(Pi).all():  # before the subtraction, where inf - inf warns
         raise ValueError("the inverse of the two-form matrix is not finite")
     return 0.5 * (Pi - Pi.swapaxes(-1, -2))
 
@@ -91,9 +64,9 @@ def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
 class DeformedStructure:
     """A Lie algebra together with admitted deformations Theta and Upsilon.
 
-    Theta and Upsilon are read-only copies of the caller's arrays.  Theta is admitted
-    as a two-cocycle here, once: its primitive is ``cohomology._primitive``.  Computed
-    once too: ``upsilon_zero`` (Upsilon has no nonzero entry) and the N x N identity.
+    Theta and Upsilon (zero if left out) are read-only copies of the caller's arrays,
+    admitted here, once, by ``cohomology._admit``: Theta's primitive is ``cohomology._primitive``.
+    Computed once too: ``upsilon_zero`` (Upsilon has no nonzero entry) and the N x N identity.
     """
 
     algebra: LieAlgebra
@@ -107,14 +80,10 @@ class DeformedStructure:
         Theta = np.zeros((n, n)) if self.Theta is None else np.array(self.Theta, float)
         Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.array(self.Upsilon, float)
         _admit(self.algebra, Theta[None], Upsilon[None])
-        Theta.setflags(write=False)
-        Upsilon.setflags(write=False)
-        object.__setattr__(self, 'Theta', Theta)
-        object.__setattr__(self, 'Upsilon', Upsilon)
+        for name, A in (('Theta', Theta), ('Upsilon', Upsilon), ('_eye', np.eye(n))):
+            A.setflags(write=False)
+            object.__setattr__(self, name, A)
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
-        eye = np.eye(n)
-        eye.setflags(write=False)
-        object.__setattr__(self, '_eye', eye)
 
 
 def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:
@@ -210,12 +179,7 @@ def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:
     """
     with open(path) as fh:
         data = json.load(fh)
-    n = algebra.dim
     Theta = data.get("Theta")
-    if Theta is None:
-        xi = data.get("xi")
-        Theta = delta1_scalar(algebra, xi) if xi is not None else np.zeros((n, n))
-    Upsilon = data.get("Upsilon")
-    if Upsilon is None:
-        Upsilon = np.zeros((n, n))
-    return DeformedStructure(algebra, np.asarray(Theta, float), np.asarray(Upsilon, float))
+    if Theta is None and data.get("xi") is not None:
+        Theta = delta1_scalar(algebra, data["xi"])
+    return DeformedStructure(algebra, Theta, data.get("Upsilon"))

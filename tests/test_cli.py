@@ -30,7 +30,7 @@ def read_json(path):
 
 
 def count_delta2(monkeypatch):
-    """Count the cocycle-residual evaluations of every binding of cohomology._delta2."""
+    """Count the cocycle-residual evaluations of cohomology._delta2, its only binding."""
     calls = []
     delta2 = cohomology._delta2
 
@@ -38,8 +38,7 @@ def count_delta2(monkeypatch):
         calls.append(1)
         return delta2(*args, **kwargs)
 
-    for module in (cohomology, phase_space):
-        monkeypatch.setattr(module, "_delta2", counted)
+    monkeypatch.setattr(cohomology, "_delta2", counted)
     return calls
 
 
@@ -369,7 +368,10 @@ def test_wrong_matrix_shape_exit_2(tmp_path, capsys, argv, content, message):
 
 
 @pytest.mark.parametrize("argv", [["omega", "--algebra", "so3", "--pi", "1e308,1e308,1e308"],
-                                  ["sweep", "--algebra", "so3", "--pi0", "1e308,1e308,1e308"]])
+                                  ["sweep", "--algebra", "so3", "--pi0", "1e308,1e308,1e308"],
+                                  # LU meets a zero pivot, where K = I is nondegenerate
+                                  ["omega", "--algebra", "so3", "--xi=1e308,1e308,0"],
+                                  ["sweep", "--algebra", "so3", "--axis", "xi:0=0:1e308:3"]])
 def test_overflowing_poisson_tensor_exit_2(tmp_path, argv):
     # a fresh interpreter: numpy's RuntimeWarnings would reach stderr with their source lines
     out = tmp_path / "out"
@@ -379,6 +381,50 @@ def test_overflowing_poisson_tensor_exit_2(tmp_path, argv):
     assert done.stdout == ""
     assert done.stderr == "error: the inverse of the two-form matrix is not finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["omega", "cohomology"])
+def test_overflowing_cocycle_residual_exit_2(tmp_path, command):
+    # a fresh interpreter: numpy's RuntimeWarnings would reach stderr with their source lines
+    deform, out = tmp_path / "deformation.json", tmp_path / "out.json"
+    Theta = 1e308 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+    deform.write_text(json.dumps({"Theta": Theta.tolist()}))
+    done = subprocess.run([sys.executable, "-m", "liedeform.cli", command, "--algebra", "sl2r",
+                           "--deformation", str(deform), "-o", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert done.returncode == 2
+    assert done.stderr == "error: Theta is not a two-cocycle: residual nan > 1.000e-12\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "--algebra", "so3", "--pi", "1,a,2"], "--pi: 'a' is not a number"),
+    (["omega", "--algebra", "so3", "--xi", "1,0,0x"], "--xi: '0x' is not a number"),
+    (["sweep", "--algebra", "so3", "--axis", "xi:0=0:1:2", "--pi0", "1,,0"],
+     "--pi0: '' is not a number"),
+    (["simulate", "--algebra", "so3", "--pi0", "1,0,0", "--inertia", "diag:1,x,3",
+      "--T", "1", "--dt", "0.1"], "--inertia: 'x' is not a number"),
+    (["omega", "--algebra", "abelian"],
+     "registry algebra 'abelian': abelian<N> needs a positive integer N"),
+    (["omega", "--algebra", "abelianx"],
+     "registry algebra 'abelianx': abelian<N> needs a positive integer N"),
+    (["omega", "--algebra", "abelian0"],
+     "registry algebra 'abelian0': abelian<N> needs a positive integer N"),
+])
+def test_bad_input_names_the_option_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([*argv, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["omega", "cohomology"])
+def test_one_dimensional_algebra(tmp_path, command):
+    # no pairs a < b: Theta = 0 is exact, with the primitive xi = 0
+    out = tmp_path / "report.json"
+    assert run([command, "--algebra", "abelian1", "-o", out]) == 0
+    report = read_json(out)
+    assert report["darboux_xi" if command == "omega" else "xi"] == [0.0]
 
 
 class TestOneVerdict:

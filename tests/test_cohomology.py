@@ -8,6 +8,7 @@ from liedeform.cohomology import (admission_tol, cohomology_dimensions, cocycle_
                                   delta1_scalar, delta1_vector, delta2,
                                   is_symplectic_cocycle, solve_primitive)
 from liedeform.errors import NotACocycle, NotAntisymmetric, NotExact
+from liedeform.phase_space import DeformedStructure, decide_grid
 
 from conftest import random_antisymmetric
 
@@ -155,7 +156,72 @@ class TestIsSymplecticCocycle:
         assert is_symplectic_cocycle(heisenberg(), Theta)
 
 
+#: finite entries whose delta2 sums inf - inf on sl2r: a NaN residual
+OVERFLOWING_THETA = 1e308 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+
+
+class TestOneAdmissionRule:
+    def test_overflowing_theta_is_rejected_by_every_entry_point(self):
+        # one NotACocycle, and no RuntimeWarning (an error under the test configuration)
+        algebra, Theta = sl2r(), OVERFLOWING_THETA
+        message = r"^Theta is not a two-cocycle: residual nan > 1\.000e-12$"
+        for admit in (lambda: DeformedStructure(algebra, Theta),
+                      lambda: decide_grid(algebra, Theta[None], np.zeros((1, 3, 3)), np.zeros(3)),
+                      lambda: solve_primitive(algebra, Theta)):
+            with pytest.raises(NotACocycle, match=message):
+                admit()
+        assert is_symplectic_cocycle(algebra, Theta) is False
+
+    def test_tolerance_does_not_overflow(self):
+        # max|Theta| max|f| = 1.95e308 overflows, but 1e-9 of it does not: no admission at inf
+        f = np.zeros((5, 5, 5))
+        f[:3, :3, :3] = 1.5 * so3().f
+        algebra = LieAlgebra.from_structure_constants("so3x1.5+R2", f)
+        Theta = np.zeros((5, 5))
+        Theta[3, 4], Theta[4, 3] = 1.3e308, -1.3e308  # a cocycle: e4, e5 are central
+        Theta[2, 3], Theta[3, 2] = 1e300, -1e300      # not one: delta2 residual 1.5e300
+        assert admission_tol(algebra, Theta) == 1e-9 * 1.3e308 * 1.5
+        with pytest.raises(NotACocycle) as info:
+            DeformedStructure(algebra, Theta)
+        assert str(info.value) == "Theta is not a two-cocycle: residual 1.500e+300 > 1.950e+299"
+        assert is_symplectic_cocycle(algebra, Theta) is False
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2), (4, 4), (3,), (1, 3, 3)])
+    def test_wrongly_shaped_theta_is_not_a_cocycle(self, shape):
+        assert is_symplectic_cocycle(so3(), np.zeros(shape)) is False
+
+    def test_agrees_with_deformed_structure(self, registry, rng):
+        for algebra in registry + [so3_plus_center()]:
+            for _ in range(10):
+                Theta = random_antisymmetric(rng, algebra.dim)
+                try:
+                    DeformedStructure(algebra, Theta)
+                except NotACocycle:
+                    admitted = False
+                else:
+                    admitted = True
+                assert is_symplectic_cocycle(algebra, Theta) is admitted
+
+
 class TestSolvePrimitive:
+    @pytest.mark.parametrize("Theta, error, message", [
+        (np.eye(3), NotAntisymmetric, "Theta fails antisymmetry: residual 2.000e+00 > 1.000e-12"),
+        (np.array([[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]), NotAntisymmetric,
+         "Theta has a non-finite entry nan at (0, 1)"),
+        (np.zeros((3, 4)), NotAntisymmetric, "Theta must be square, got shape (3, 4)"),
+        (np.zeros((2, 2)), NotAntisymmetric, "deformation matrices must be 3 x 3"),
+        (OVERFLOWING_THETA, NotACocycle, "Theta is not a two-cocycle: residual nan > 1.000e-12"),
+    ])
+    def test_rejects_with_the_admission_messages(self, Theta, error, message):
+        with pytest.raises(error) as info:
+            solve_primitive(sl2r(), Theta)
+        assert str(info.value) == message
+
+    def test_one_dimensional_algebra(self):
+        # no pairs a < b: the coboundary matrix is 0 x 1 and every xi is a primitive of 0
+        xi, residual, kernel_dim = solve_primitive(abelian(1), np.zeros((1, 1)))
+        assert np.array_equal(xi, [0.0]) and residual == 0.0 and kernel_dim == 1
+
     def test_so3_inversion(self):
         Theta = np.zeros((3, 3))
         Theta[0, 1], Theta[1, 0] = -1.0, 1.0
@@ -181,8 +247,9 @@ class TestSolvePrimitive:
     def test_not_a_cocycle(self):
         Theta = np.zeros((4, 4))
         Theta[2, 3], Theta[3, 2] = 1.0, -1.0
-        with pytest.raises(NotACocycle):
+        with pytest.raises(NotACocycle) as info:
             solve_primitive(so3_plus_center(), Theta)
+        assert str(info.value) == "Theta is not a two-cocycle: residual 1.000e+00 > 1.000e-12"
 
     def test_kernel_dimension_heisenberg(self):
         # coboundary map kills xi_1, xi_2 on h3
