@@ -60,13 +60,23 @@ def delta1_vector(algebra: LieAlgebra, theta) -> np.ndarray:
 def delta2(algebra: LieAlgebra, Theta) -> np.ndarray:
     """Degree-two coboundary of an antisymmetric scalar 2-cochain, indexed [...][a][b][c].
 
-    Antisymmetry is judged point by point, relative to the scale of each point's Theta.
+    Antisymmetry is judged point by point, relative to the scale of each point's Theta; the
+    first point that fails raises ``_reject_asymmetric``'s error, as in ``_admit``.
     """
     Theta = np.asarray(Theta, float)
     residual, bound = _transpose_residual(Theta)
-    if not np.all(residual <= bound):
-        raise NotAntisymmetric("Theta must be antisymmetric")
+    failing = ~(residual <= bound)
+    if failing.any():
+        g = np.unravel_index(failing.argmax(), failing.shape)
+        _reject_asymmetric("Theta", Theta[g], residual[g], bound[g])
     return _delta2(algebra, Theta)
+
+
+def _reject_asymmetric(name: str, A: np.ndarray, residual, bound):
+    """Raise NotAntisymmetric for a matrix A that failed antisymmetry by ``residual > bound``:
+    naming its first non-finite entry if it has one, else the residual and the bound."""
+    _require_finite(name, A, NotAntisymmetric)
+    raise NotAntisymmetric(f"{name} fails antisymmetry: residual {residual:.3e} > {bound:.3e}")
 
 
 def _delta2(algebra: LieAlgebra, Theta: np.ndarray) -> np.ndarray:
@@ -108,10 +118,8 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
                           f"{tol[g]:.3e}")
     if first < len(Theta):
         k = np.argmax(asymmetric[first])
-        name = ("Theta", "Upsilon")[k]
-        _require_finite(name, pair[first, k], NotAntisymmetric)
-        raise NotAntisymmetric(f"{name} fails antisymmetry: residual "
-                               f"{residual[first, k]:.3e} > {bound[first, k]:.3e}")
+        _reject_asymmetric(("Theta", "Upsilon")[k], pair[first, k], residual[first, k],
+                           bound[first, k])
 
 
 def is_symplectic_cocycle(algebra: LieAlgebra, theta) -> bool:

@@ -9,6 +9,7 @@ With Theta = Upsilon = 0 on so(3) this is classical Euler, pidot = pi x (I_inv p
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .algebra import _expm, _require_finite, _transpose_residual, is_semisimple, killing_form, so3
 from .cohomology import _primitive
 from .errors import DegenerateForm, NotExact, StepRejected
-from .phase_space import DeformedStructure, _nullity, lie_poisson_block
+from .phase_space import DeformedStructure, _nullity, lie_poisson_block  # noqa: F401 re-export
 
 #: ||C Upsilon||_F^2 at or below this certifies K = I + C Upsilon nondegenerate: every
 #: singular value of K then lies in [0.1, 1.9], far above _nullity's cut RANK_TOL * 1.9
@@ -86,21 +87,22 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
     at its binding it cannot meet the exactly singular K that np.linalg.solve rejects.
 
     At N <= 10 numpy's per-call overhead, not arithmetic, sets the cost, so every
-    product is ``ndarray.dot``: the BLAS call ``@`` makes, with the same bytes.  The
-    negation stays on the matrix, (-C).dot(v): -(C.dot(v)) flips the sign of exact zeros.
+    product is ``ndarray.dot``: the BLAS call ``@`` makes, with the same bytes.  -C(pi) comes
+    from the structure's -f and -Theta: negated terms sum to the negated sum, I - (-C) Upsilon
+    is I + C Upsilon, and a zero of -C whose sign differs reaches pidot only as a zero term.
     """
     pi = np.asarray(pi, float)
-    C = lie_poisson_block(structure, pi)
+    minus_C = pi.dot(structure._minus_f).reshape(structure._eye.shape) + structure._minus_Theta
     velocity = inertia.I_inv.dot(pi)
     if structure.upsilon_zero:
-        return velocity, (-C).dot(velocity)
-    X = C.dot(structure.Upsilon)
-    K = structure._eye + X
+        return velocity, minus_C.dot(velocity)
+    X = minus_C.dot(structure.Upsilon)
+    K = structure._eye - X
     x = X.ravel()
     # not (x.x <= ...): a NaN or inf in K fails the certificate and reaches the SVD
     if not x.dot(x) <= _CERTIFIED_SQ and _nullity(K):
         raise DegenerateForm("two-form degenerate at this momentum")
-    pidot = _solve(K, (-C).dot(velocity))
+    pidot = _solve(K, minus_C.dot(velocity))
     eta = velocity + structure.Upsilon.dot(pidot)
     return eta, pidot
 
@@ -191,8 +193,9 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
               extra_monitors: dict | None = None) -> Trajectory:
     """Classical RK4 integration of the deformed Euler flow.
 
-    RK4 steps the momentum pi alone.  Each kept state is one row of a preallocated
-    array; after the run one stacked matmul per channel (energy, Casimir,
+    RK4 steps the momentum pi alone: _rk4_step's arithmetic written out, in its order, with
+    four calls of hamiltonian_vector_field per step.  Each kept state is one row of a
+    preallocated array; after the run one stacked matmul per channel (energy, Casimir,
     ``extra_monitors``) evaluates all rows.
 
     ``rep`` is an optional stack of N generator matrices rho(e_i); when given, the group
@@ -220,21 +223,14 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     times = dt * np.arange(steps + 1)
     y = pi0.copy()
     etas = []  # the stage velocities of the current block's steps, four per step
-
-    if rep is None:
-        def rhs(y):
-            return hamiltonian_vector_field(structure, inertia, y)[1]
-    else:
+    if rep is not None:
         rep = np.asarray(rep, dtype=float)
         d = rep.shape[1]
         rep_flat = rep.reshape(len(rep), d * d)
         gs = np.empty((steps + 1, d, d))
         gs[0] = np.eye(d)
-
-        def rhs(y):
-            eta, pidot = hamiltonian_vector_field(structure, inertia, y)
-            etas.append(eta)
-            return pidot
+    # _rk4_step's coefficients as 0-d arrays: the same doubles, not converted on each product
+    half, full, sixth, two = map(np.array, (0.5 * dt, float(dt), dt / 6.0, 2.0))
 
     rows = np.empty((steps + 1, n))
     rows[0] = y
@@ -244,15 +240,22 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
         for start in range(0, steps, _G_BLOCK):
             for k in range(start, min(start + _G_BLOCK, steps)):
                 try:
-                    y = _rk4_step(rhs, y, dt)
+                    e1, k1 = hamiltonian_vector_field(structure, inertia, y)
+                    e2, k2 = hamiltonian_vector_field(structure, inertia, y + half * k1)
+                    e3, k3 = hamiltonian_vector_field(structure, inertia, y + half * k2)
+                    e4, k4 = hamiltonian_vector_field(structure, inertia, y + full * k3)
                 except DegenerateForm:
                     degenerate_at = float(times[k])
                     break
-                if not np.isfinite(y).all():
+                y = y + sixth * (k1 + two * k2 + two * k3 + k4)
+                # math.isfinite on Python floats: ndarray.all goes through numpy's Python layer
+                if not all(map(math.isfinite, y.tolist())):
                     rejected = f"non-finite state at t = {times[k + 1]:.6g}"
                     break
                 rows[kept] = y
                 kept += 1
+                if rep is not None:
+                    etas += (e1, e2, e3, e4)
             if rep is not None:
                 _advance_group(gs, start + 1, kept, etas, rep_flat, dt, times)
                 etas.clear()
@@ -303,7 +306,7 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
     channels = {name: [float(np.dot(vec, pi))] for name, vec in extra.items()}
     for k in range(steps):
         pi = _rk4_step(rhs, pi, dt)
-        if not np.all(np.isfinite(pi)):
+        if not all(map(math.isfinite, pi.tolist())):
             raise StepRejected(f"non-finite momentum at t = {times[k + 1]:.6g}")
         pis.append(pi.copy())
         energy.append(hamiltonian(inertia, pi))

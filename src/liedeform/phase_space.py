@@ -66,7 +66,7 @@ class DeformedStructure:
 
     Theta and Upsilon (zero if left out) are read-only copies of the caller's arrays,
     admitted here, once, by ``cohomology._admit``: Theta's primitive is ``cohomology._primitive``.
-    Computed once too: ``upsilon_zero`` (Upsilon has no nonzero entry) and the N x N identity.
+    Computed once too: ``upsilon_zero`` (Upsilon has no nonzero entry), I_N, -f (N x N^2), -Theta.
     """
 
     algebra: LieAlgebra
@@ -74,13 +74,16 @@ class DeformedStructure:
     Upsilon: np.ndarray = None
     upsilon_zero: bool = field(init=False)
     _eye: np.ndarray = field(init=False, repr=False)
+    _minus_f: np.ndarray = field(init=False, repr=False)
+    _minus_Theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.algebra.dim
         Theta = np.zeros((n, n)) if self.Theta is None else np.array(self.Theta, float)
         Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.array(self.Upsilon, float)
         _admit(self.algebra, Theta[None], Upsilon[None])
-        for name, A in (('Theta', Theta), ('Upsilon', Upsilon), ('_eye', np.eye(n))):
+        for name, A in (('Theta', Theta), ('Upsilon', Upsilon), ('_eye', np.eye(n)),
+                        ('_minus_f', -self.algebra._f_flat), ('_minus_Theta', -Theta)):
             A.setflags(write=False)
             object.__setattr__(self, name, A)
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())

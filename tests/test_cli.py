@@ -418,6 +418,34 @@ def test_bad_input_names_the_option_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["omega", "--algebra", "so3"], "--pi", "-0.5,1,0"),
+    (["omega", "--algebra", "so3", "--pi", "1,2,3"], "--xi", "-1,0,0"),
+    (["sweep", "--algebra", "so3", "--axis", "xi:0=-1:1:3"], "--pi0", "-1,0,0"),
+    (["simulate", "--algebra", "so3", "--inertia", "identity", "--T", "0.1", "--dt", "0.05",
+      "--summary", os.devnull], "--pi0", "-1e-3,0.5,-0"),
+])
+def test_vector_value_with_a_leading_minus(tmp_path, argv, option, value):
+    # argparse alone reads a spaced -0.5,1,0 as an unknown option and exits 2
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run([*argv, option, value, "-o", spaced]) == 0
+    assert run([*argv, f"{option}={value}", "-o", joined]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    if argv[0] == "omega":  # through sys.argv, as the console script reads it
+        done = subprocess.run([sys.executable, "-m", "liedeform.cli", *argv, option, value],
+                              capture_output=True, text=True, env=subprocess_env(), check=True)
+        assert done.stdout == joined.read_text()
+
+
+def test_an_option_after_a_vector_option_stays_an_option(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        run(["omega", "--algebra", "so3", "--pi", "-o", out])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --pi: expected one argument\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["omega", "cohomology"])
 def test_one_dimensional_algebra(tmp_path, command):
     # no pairs a < b: Theta = 0 is exact, with the primitive xi = 0

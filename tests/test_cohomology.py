@@ -108,8 +108,20 @@ class TestDelta2:
         assert np.array_equal(delta2(heisenberg(), Theta), np.zeros((3, 3, 3)))
 
     def test_rejects_non_antisymmetric(self):
-        with pytest.raises(NotAntisymmetric):
-            delta2(so3(), np.eye(3))
+        # the messages solve_primitive gives; on a stack, those of the first failing point
+        cases = [
+            (np.eye(3), "Theta fails antisymmetry: residual 2.000e+00 > 1.000e-12"),
+            (np.array([[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+             "Theta has a non-finite entry nan at (0, 1)"),
+            (np.array([np.zeros((3, 3)), [[0.0, 1.0, np.inf], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                       np.eye(3)]), "Theta has a non-finite entry inf at (0, 2)"),
+        ]
+        for Theta, message in cases:
+            rejects = (delta2, cocycle_residual) + ((solve_primitive,) if Theta.ndim == 2 else ())
+            for reject in rejects:
+                with pytest.raises(NotAntisymmetric) as info:
+                    reject(so3(), Theta)
+                assert str(info.value) == message
 
     def test_totally_antisymmetric(self, rng):
         algebra = so3_plus_center()

@@ -123,18 +123,19 @@ class TestHamiltonianVectorField:
                 assert np.max(np.abs(eta - zeta[:n])) < 1e-10
                 assert np.max(np.abs(pidot - zeta[n:])) < 1e-10
 
-    @pytest.mark.parametrize("name", ["heisenberg", "abelian2", "se2"])
+    @pytest.mark.parametrize("name", ["heisenberg", "abelian2", "se2", "so3", "sl2r"])
     def test_bytes_of_the_plain_formulas(self, rng, name):
-        # Theta = 0 on these bases gives exact zeros, and -(C v) would flip their signs
+        # Theta = 0 (or -0) on these bases and momenta with +-0 components give exact zeros,
+        # and -(C v) would flip their signs
         algebra = get_algebra(name)
         n = algebra.dim
         inertia = InertiaTensor.diagonal(rng.uniform(0.5, 2.0, n))
         U = 0.3 * (lambda A: A - A.T)(rng.normal(size=(n, n)))
-        momenta = [np.array(p, float) for p in itertools.product((-1, 0, 1, 2), repeat=n)]
+        momenta = [np.array(p, float) for p in itertools.product((-1, -0.0, 0, 1, 2), repeat=n)]
         momenta += list(rng.normal(size=(20, n)))
         zeros = 0
-        for Upsilon in (None, U):
-            S = DeformedStructure(algebra, None, Upsilon)
+        for Theta, Upsilon in itertools.product((None, np.full((n, n), -0.0)), (None, U)):
+            S = DeformedStructure(algebra, Theta, Upsilon)
             for pi in momenta:
                 C = (pi @ algebra.f.reshape(n, n * n)).reshape(n, n) + S.Theta
                 v = inertia.I_inv @ pi
@@ -732,3 +733,112 @@ class TestEulerReference:
             for k in range(50):
                 pi = _rk4_step(lambda p: np.cross(p, inertia.I_inv @ p), pi, 1e-3)
                 assert traj.pis[k + 1].tobytes() == pi.tobytes()
+
+
+def _upsilon(n):
+    """A fixed small antisymmetric Upsilon: 0.1 (i - j)."""
+    return 0.1 * np.subtract.outer(np.arange(n), np.arange(n))
+
+
+REPRESENTATIONS = {"so3": so3_vector_representation, "sl2r": sl2r_defining_representation,
+                   "heisenberg": heisenberg_representation, "se2": se2_representation}
+
+#: integrate runs pinned byte for byte: case -> (algebra, Theta, Upsilon, inertia diagonal, pi0,
+#: T, dt, representation or None); signed-zero momenta, axis equilibria, Theta = 0 with
+#: Upsilon != 0 on the registry, each group representation, and a degeneracy inside a step
+TRAJECTORY_CORPUS = {
+    "so3_signed_zero_axis": ("so3", None, None, [1.0, 0.5, 1 / 3], [-0.0, 1.0, -0.0], 0.5, 0.05,
+                             None),
+    "so3_signed_zero": ("so3", None, None, [1.0, 0.5, 1 / 3], [-0.0, 1.0, 0.25], 0.5, 0.05, None),
+    "so3_xi_rep": ("so3", delta1_scalar(so3(), [0.1, -0.2, 0.3]), None, [1.0, 0.5, 0.25],
+                   [1.0, 0.1, -0.3], 0.5, 0.025, "so3"),
+    "so3_axis_equilibrium_rep": ("so3", None, None, [1.0, 0.5, 1 / 3], [0.0, 0.0, 1.0], 0.5,
+                                 0.05, "so3"),
+    "sl2r_equilibrium_upsilon_rep": ("sl2r", None, [[0.0, 0.25, 0.0], [-0.25, 0.0, 0.0],
+                                                    [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0],
+                                     [1.0, 0.0, 0.0], 0.5, 0.05, "sl2r"),
+    "heisenberg_signed_zero_rep": ("heisenberg", None, None, [1.0, 1.0, 1.0], [0.7, -1.3, -0.0],
+                                   0.5, 0.05, "heisenberg"),
+    "se2_rotation_rep": ("se2", None, None, [1.0, 1.0, 2.0], [0.0, -0.0, 1.5], 0.5, 0.05, "se2"),
+    **{f"{name}_upsilon": (name, None, _upsilon(n), [1.0, 0.5, 2.0, 0.25][:n],
+                           [0.5, -0.0, -0.75, 0.25][:n], 0.5, 0.05, None)
+       for name, n in (("abelian2", 2), ("abelian3", 3), ("heisenberg", 3), ("se2", 3),
+                       ("sl2r", 3), ("so3", 3))},
+    "abelian2_signed_zero_theta": ("abelian2", [[-0.0, 0.5], [-0.5, -0.0]], _upsilon(2) * 2.5,
+                                   [1.0, 1.0], [1.0, -0.0], 0.5, 0.05, None),
+    # a stage lands where K = I + C Upsilon is singular: degenerate_at = 14 after 14 steps
+    "heisenberg_degenerate_mid_run": ("heisenberg", [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                                     [-0.5, 0.0, 0.0]],
+                                      [[0.0, 0.25, 0.0], [-0.25, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                      [1.0, 1.0, 1.0], [0.5, 0.0, 3.625], 16.0, 1.0, None),
+}
+
+
+def corpus_trajectory(case):
+    """(header, columns) of a corpus run: t, pi, the monitors by name, then g row-major."""
+    name, Theta, Upsilon, inertia, pi0, T, dt, rep = TRAJECTORY_CORPUS[case]
+    algebra = get_algebra(name)
+    traj = integrate(DeformedStructure(algebra, Theta, Upsilon), InertiaTensor.diagonal(inertia),
+                     pi0, T, dt, rep=None if rep is None else REPRESENTATIONS[rep](),
+                     extra_monitors={"last_axis": np.eye(algebra.dim)[-1]})
+    header = ["t"] + [f"pi_{i}" for i in range(algebra.dim)] + sorted(traj.monitors)
+    columns = [traj.times, *traj.pis.T] + [traj.monitors[k] for k in sorted(traj.monitors)]
+    if traj.gs is not None:
+        d = traj.gs.shape[1]
+        header += [f"g_{i}_{j}" for i in range(d) for j in range(d)]
+        columns += list(traj.gs.reshape(len(traj.gs), d * d).T)
+    return traj, header, columns
+
+
+def corpus_path(case):
+    return GOLDEN / "integrate" / f"{case}.csv"
+
+
+def write_corpus_goldens():
+    """Rewrite tests/golden/integrate/ from this checkout's integrate, as %.17g CSV."""
+    (GOLDEN / "integrate").mkdir(exist_ok=True)
+    for case in TRAJECTORY_CORPUS:
+        _, header, columns = corpus_trajectory(case)
+        with open(corpus_path(case), "w") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+
+
+class TestPinnedTrajectories:
+    """integrate's bytes as written by an earlier, separately stepped implementation."""
+
+    @pytest.mark.parametrize("case", sorted(TRAJECTORY_CORPUS))
+    def test_bytes_of_the_corpus(self, case):
+        traj, header, columns = corpus_trajectory(case)
+        with open(corpus_path(case)) as fh:
+            assert fh.readline().rstrip("\n").split(",") == header
+            rows = [[float(v) for v in line.split(",")] for line in fh]
+        expected = np.array(rows).T
+        assert len(columns) == len(expected)
+        for name, got, want in zip(header, columns, expected):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+        assert (traj.degenerate_at == 14.0) == (case == "heisenberg_degenerate_mid_run")
+        assert traj.complete == (case != "heisenberg_degenerate_mid_run")
+
+    @pytest.mark.parametrize("inertia, pi0, T, dt, rep, message", [
+        ([1.0, 0.5, 1 / 3], [1.0, 0.1, 0.0], 1e8, 1e6, None, "non-finite state at t = 2e+06"),
+        ([1.0, 2.0, 3.0], [100.0, 300.0, -200.0], 10.0, 0.01, None,
+         "non-finite state at t = 0.04"),
+        ([1.0, 2.0, 3.0], [100.0, 300.0, -200.0], 10.0, 0.01, "so3",
+         "non-finite group element at t = 0.03"),
+        ([1.0, 2.0, 3.0], [1e200, 3e200, -2e200], 1.0, 0.5, "so3", "non-finite state at t = 0.5"),
+    ])
+    def test_step_rejected_times(self, inertia, pi0, T, dt, rep, message):
+        inertia = InertiaTensor.diagonal(inertia)
+        with pytest.raises(StepRejected) as info:
+            integrate(DeformedStructure(so3()), inertia, pi0, T, dt,
+                      rep=None if rep is None else REPRESENTATIONS[rep]())
+        assert str(info.value) == message
+        if rep is None:
+            with pytest.raises(StepRejected) as info:
+                euler_reference(inertia, pi0, T, dt)
+            assert str(info.value) == message.replace("state", "momentum")
+
+
+if __name__ == "__main__":
+    write_corpus_goldens()
