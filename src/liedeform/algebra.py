@@ -7,6 +7,7 @@ this layout.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -55,7 +56,7 @@ def validate_algebra(f, tol: float = AXIOM_TOL) -> ValidationReport:
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """A finite-dimensional real Lie algebra in a fixed basis."""
+    """A finite-dimensional real Lie algebra in a fixed basis; read-only, its constants cached."""
 
     name: str
     dim: int
@@ -63,8 +64,7 @@ class LieAlgebra:
     _f_flat: np.ndarray = field(init=False, repr=False, compare=False)  # f as N x N*N
 
     def __post_init__(self):
-        f = np.ascontiguousarray(np.asarray(self.f, dtype=float))
-        f.setflags(write=False)
+        f = _read_only(np.ascontiguousarray(np.asarray(self.f, dtype=float)))
         object.__setattr__(self, 'f', f)
         object.__setattr__(self, '_f_flat', f.reshape(len(f), len(f) ** 2))
 
@@ -79,15 +79,33 @@ class LieAlgebra:
         f = np.asarray(f, dtype=float)
         return cls(name, f.shape[0], f)
 
+    @functools.cached_property
+    def _killing_inv(self) -> np.ndarray | None:
+        """Inverse Killing form where Cartan's criterion (is_semisimple) holds, else None."""
+        B = killing_form(self)
+        scale = float(np.max(np.abs(B)))
+        semisimple = scale != 0.0 and abs(np.linalg.det(B)) > SEMISIMPLE_TOL * scale ** self.dim
+        return _read_only(np.linalg.inv(B)) if semisimple else None
+
+    @functools.cached_property
+    def _ad_basis(self) -> np.ndarray:
+        """ad_matrix at u = I: entry i is ad of the basis element e_i."""
+        return _read_only(ad_matrix(self, np.eye(self.dim)))
+
     def bracket(self, u, v) -> np.ndarray:
         """[u, v] in components."""
         return np.einsum('mab,a,b->m', self.f, np.asarray(u, float), np.asarray(v, float))
 
 
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.setflags(write=False)
+    return A
+
+
 def _require_finite(name: str, A, error=ValueError):
     """Raise ``error`` naming the first non-finite entry of A, if A has one."""
-    bad = np.argwhere(~np.isfinite(A)).tolist()
-    if bad:
+    if not np.isfinite(A).all():  # argwhere only on failure: the check runs on every input
+        bad = np.argwhere(~np.isfinite(A)).tolist()
         index = tuple(bad[0]) if len(bad[0]) > 1 else bad[0][0]
         raise error(f"{name} has a non-finite entry {A[index]} at {index}")
 
@@ -115,13 +133,9 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     """Cartan's criterion: nondegenerate Killing form.
 
     Scale-relative: |det B| > SEMISIMPLE_TOL * (max |B|)^N, with an identically zero
-    Killing form always judged non-semisimple.
+    Killing form always judged non-semisimple.  Decided once per algebra.
     """
-    B = killing_form(algebra)
-    scale = float(np.max(np.abs(B)))
-    if scale == 0.0:
-        return False
-    return abs(np.linalg.det(B)) > SEMISIMPLE_TOL * scale ** algebra.dim
+    return algebra._killing_inv is not None
 
 
 def ad_matrix(algebra: LieAlgebra, u) -> np.ndarray:
@@ -244,8 +258,9 @@ def registry_names() -> list[str]:
     return sorted(_REGISTRY) + ["abelian<N>"]
 
 
+@functools.cache
 def get_algebra(name: str) -> LieAlgebra:
-    """Look up a benchmark algebra by name; 'abelianN' gives the N-dim abelian one."""
+    """The benchmark algebra of this name ('abelianN' is N-dim abelian), built once per process."""
     if name in _REGISTRY:
         return _REGISTRY[name]()
     if name.startswith("abelian"):
@@ -258,7 +273,7 @@ def get_algebra(name: str) -> LieAlgebra:
 
 def registry_algebras() -> list[LieAlgebra]:
     """All benchmark algebras, with abelian R^2 and R^3."""
-    return [abelian(2), abelian(3)] + [fn() for _, fn in sorted(_REGISTRY.items())]
+    return [get_algebra(name) for name in ("abelian2", "abelian3", *sorted(_REGISTRY))]
 
 
 def load_algebra(path) -> LieAlgebra:

@@ -353,16 +353,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: options that take a list of numbers, and the start of a value argparse misreads as an option
-_VECTOR_OPTIONS = ("--pi", "--xi", "--pi0")
+#: options that take numbers, and the start of a value argparse misreads as an option
+_NUMBER_OPTIONS = ("--pi", "--xi", "--pi0", "--rank-tol", "--T", "--dt", "--tol")
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-def _join_vector_values(argv: list[str]) -> list[str]:
-    """argv with ``--pi -0.5,1,0`` written ``--pi=-0.5,1,0``; ``--pi -o`` keeps -o an option."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--pi -0.5,1,0`` written ``--pi=-0.5,1,0``; ``--T -o`` keeps -o an option."""
     joined = []
     for token in argv:
-        if joined and joined[-1] in _VECTOR_OPTIONS and _NEGATIVE_NUMBER.match(token):
+        if joined and joined[-1] in _NUMBER_OPTIONS and _NEGATIVE_NUMBER.match(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -371,7 +371,7 @@ def _join_vector_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command == "simulate" and not args.output:
         parser.error("simulate requires --output for the trajectory CSV")
     if args.command == "sweep" and not args.output:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, _require_finite, _transpose_residual
+from .algebra import LieAlgebra, _read_only, _require_finite, _transpose_residual
 from .errors import NotACocycle, NotAntisymmetric, NotExact
 
 #: absolute cocycle-admission tolerance for integer-valued structure constants
@@ -134,10 +134,8 @@ def is_symplectic_cocycle(algebra: LieAlgebra, theta) -> bool:
 
 @functools.cache
 def _pair_index(n: int) -> np.ndarray:
-    """Read-only rows (a, b) of the pairs a < b; cached by N, as each op builds a fresh algebra."""
-    pairs = np.array(np.triu_indices(n, 1))
-    pairs.setflags(write=False)
-    return pairs
+    """Read-only rows (a, b) of the pairs a < b; cached by N, which is all they depend on."""
+    return _read_only(np.array(np.triu_indices(n, 1)))
 
 
 def _coboundary_matrix(algebra: LieAlgebra) -> np.ndarray:

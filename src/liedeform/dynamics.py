@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _expm, _require_finite, _transpose_residual, is_semisimple, killing_form, so3
+from .algebra import _expm, _require_finite, _transpose_residual, get_algebra, is_semisimple
 from .cohomology import _primitive
 from .errors import DegenerateForm, NotExact, StepRejected
 from .phase_space import DeformedStructure, _nullity, lie_poisson_block  # noqa: F401 re-export
@@ -137,11 +137,10 @@ def _casimir_monitor(structure: DeformedStructure):
         xi, _, _ = _primitive(algebra, structure.Theta)
     except NotExact:
         return None
-    B_inv = np.linalg.inv(killing_form(algebra))
 
     def monitor(pis):
         sigma = pis - xi
-        return (sigma[:, None, :] @ B_inv @ sigma[:, :, None])[:, 0, 0]
+        return (sigma[:, None, :] @ algebra._killing_inv @ sigma[:, :, None])[:, 0, 0]
 
     return monitor
 
@@ -194,9 +193,9 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     """Classical RK4 integration of the deformed Euler flow.
 
     RK4 steps the momentum pi alone: _rk4_step's arithmetic written out, in its order, with
-    four calls of hamiltonian_vector_field per step.  Each kept state is one row of a
-    preallocated array; after the run one stacked matmul per channel (energy, Casimir,
-    ``extra_monitors``) evaluates all rows.
+    four calls of hamiltonian_vector_field per step and the update on Python floats (the same
+    doubles as numpy).  Each kept state is one row of a preallocated array; after the run one
+    stacked matmul per channel (energy, Casimir, ``extra_monitors``) evaluates all rows.
 
     ``rep`` is an optional stack of N generator matrices rho(e_i); when given, the group
     element is reconstructed from g(0) = I and dg/dt = g rho(eta) by the commutator-free
@@ -218,10 +217,8 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     """
     pi0 = np.asarray(pi0, dtype=float)
     _require_finite("pi0", pi0)
-    n = pi0.size
     steps = _step_count(T, dt)
     times = dt * np.arange(steps + 1)
-    y = pi0.copy()
     etas = []  # the stage velocities of the current block's steps, four per step
     if rep is not None:
         rep = np.asarray(rep, dtype=float)
@@ -229,11 +226,12 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
         rep_flat = rep.reshape(len(rep), d * d)
         gs = np.empty((steps + 1, d, d))
         gs[0] = np.eye(d)
-    # _rk4_step's coefficients as 0-d arrays: the same doubles, not converted on each product
-    half, full, sixth, two = map(np.array, (0.5 * dt, float(dt), dt / 6.0, 2.0))
+    # _rk4_step's coefficients: 0-d arrays for the stages, not converted on each product
+    half, full, sixth = np.array(0.5 * dt), np.array(float(dt)), float(dt / 6.0)
 
-    rows = np.empty((steps + 1, n))
-    rows[0] = y
+    rows = np.empty((steps + 1, pi0.size))
+    rows[0] = pi0
+    y = rows[0]
     kept, degenerate_at, rejected = 1, None, None
     # a blow-up overflows silently: the finiteness checks below report it as StepRejected
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,12 +245,13 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
                 except DegenerateForm:
                     degenerate_at = float(times[k])
                     break
-                y = y + sixth * (k1 + two * k2 + two * k3 + k4)
-                # math.isfinite on Python floats: ndarray.all goes through numpy's Python layer
-                if not all(map(math.isfinite, y.tolist())):
+                y_list = [p + sixth * (((q1 + 2.0 * q2) + 2.0 * q3) + q4) for p, q1, q2, q3, q4
+                          in zip(y.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())]
+                if not all(map(math.isfinite, y_list)):
                     rejected = f"non-finite state at t = {times[k + 1]:.6g}"
                     break
-                rows[kept] = y
+                rows[kept] = y_list
+                y = rows[kept]
                 kept += 1
                 if rep is not None:
                     etas += (e1, e2, e3, e4)
@@ -274,8 +273,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
         for name, values in monitors.items():
             finite = np.isfinite(values - values[0])  # the monitor and its drift
             if not finite.all():
-                t = times[np.argmin(finite)]
-                raise StepRejected(f"non-finite {name} monitor at t = {t:.6g}")
+                raise StepRejected(f"non-finite {name} monitor at t = {times[finite.argmin()]:.6g}")
     return Trajectory(
         times=times[:kept],
         pis=pis,
@@ -288,10 +286,9 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
 def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
                     extra_monitors: dict | None = None) -> Trajectory:
     """Independent rigid-body oracle on so(3): RK4 on pidot = pi x (I_inv pi)."""
-    pi0 = np.asarray(pi0, float)
-    if pi0.shape != (3,):
+    pi = np.asarray(pi0, float)
+    if pi.shape != (3,):
         raise ValueError("the rigid-body oracle is three-dimensional")
-    pi = pi0.copy()
     steps = _step_count(T, dt)
     times = dt * np.arange(steps + 1)
 
@@ -301,22 +298,23 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
         return np.array([p1 * w2 - p2 * w1, p2 * w0 - p0 * w2, p0 * w1 - p1 * w0])
 
     extra = dict(extra_monitors or {})
-    pis = [pi.copy()]
-    energy = [hamiltonian(inertia, pi)]
-    channels = {name: [float(np.dot(vec, pi))] for name, vec in extra.items()}
-    for k in range(steps):
-        pi = _rk4_step(rhs, pi, dt)
-        if not all(map(math.isfinite, pi.tolist())):
-            raise StepRejected(f"non-finite momentum at t = {times[k + 1]:.6g}")
-        pis.append(pi.copy())
-        energy.append(hamiltonian(inertia, pi))
-        for name, vec in extra.items():
-            channels[name].append(float(np.dot(vec, pi)))
-    monitors = {"energy": np.array(energy)}
+    pis, energies, channels = [], [], {name: [] for name in extra}
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported as StepRejected
+        for k in range(steps + 1):
+            pi = _rk4_step(rhs, pi, dt) if k else pi
+            energy = hamiltonian(inertia, pi)
+            if not math.isfinite(energy):  # also where pi is not; H overflows a step before pi
+                what = "energy" if all(map(math.isfinite, pi.tolist())) else "momentum"
+                raise StepRejected(f"non-finite {what} at t = {times[k]:.6g}")
+            pis.append(pi.copy())
+            energies.append(energy)
+            for name, vec in extra.items():
+                channels[name].append(float(np.dot(vec, pi)))
+    monitors = {"energy": np.array(energies)}
     monitors.update({k: np.array(v) for k, v in channels.items()})
     return Trajectory(times=times, pis=np.array(pis), monitors=monitors)
 
 
 def so3_vector_representation() -> np.ndarray:
     """Generators of the rotation representation matching the so3 registry basis."""
-    return np.ascontiguousarray(so3().f.transpose(1, 0, 2))
+    return np.ascontiguousarray(get_algebra("so3").f.transpose(1, 0, 2))

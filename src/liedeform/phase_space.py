@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, _require_finite
+from .algebra import LieAlgebra, _read_only, _require_finite
 from .cohomology import _admit, _primitive, delta1_scalar
 from .errors import DegenerateForm, UpsilonPresent
 
@@ -84,8 +84,7 @@ class DeformedStructure:
         _admit(self.algebra, Theta[None], Upsilon[None])
         for name, A in (('Theta', Theta), ('Upsilon', Upsilon), ('_eye', np.eye(n)),
                         ('_minus_f', -self.algebra._f_flat), ('_minus_Theta', -Theta)):
-            A.setflags(write=False)
-            object.__setattr__(self, name, A)
+            object.__setattr__(self, name, _read_only(A))
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
 
 

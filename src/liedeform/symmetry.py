@@ -19,14 +19,20 @@ NULLSPACE_TOL = 1e-10
 
 def lie_derivative_cocycle(algebra: LieAlgebra, u, Theta) -> np.ndarray:
     """(L_u Theta)_{mn} = Theta(ad_u e_m, e_n) + Theta(e_m, ad_u e_n); one per row of a stack u."""
-    ad = ad_matrix(algebra, u)
+    return _cocycle_derivative(ad_matrix(algebra, u), Theta)
+
+
+def _cocycle_derivative(ad: np.ndarray, Theta) -> np.ndarray:
     Theta = np.asarray(Theta, float)
     return ad.swapaxes(-1, -2) @ Theta + Theta @ ad
 
 
 def lie_derivative_momentum_form(algebra: LieAlgebra, u, Upsilon) -> np.ndarray:
     """Contravariant -(ad_u Upsilon + Upsilon ad_u^T), also of inertia; one per row of a stack u."""
-    ad = ad_matrix(algebra, u)
+    return _momentum_form_derivative(ad_matrix(algebra, u), Upsilon)
+
+
+def _momentum_form_derivative(ad: np.ndarray, Upsilon) -> np.ndarray:
     Upsilon = np.asarray(Upsilon, float)
     return -(ad @ Upsilon + Upsilon @ ad.swapaxes(-1, -2))
 
@@ -42,11 +48,10 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
                         inertia_inv=None) -> IsotropySubalgebra:
     """Null space of u -> (L_u Theta, L_u Upsilon[, L_u I]) with closure check."""
     n = algebra.dim
-    u = np.eye(n)  # column i of the map is its value at basis element e_i
-    parts = [lie_derivative_cocycle(algebra, u, Theta),
-             lie_derivative_momentum_form(algebra, u, Upsilon)]
+    ad = algebra._ad_basis  # ad at u = I: column i of the map is its value at e_i
+    parts = [_cocycle_derivative(ad, Theta), _momentum_form_derivative(ad, Upsilon)]
     if inertia_inv is not None:
-        parts.append(lie_derivative_momentum_form(algebra, u, inertia_inv))
+        parts.append(_momentum_form_derivative(ad, inertia_inv))
     A = np.concatenate([part.reshape(n, -1) for part in parts], axis=1).T
     _, s, vt = np.linalg.svd(A)
     smax = s[0] if s.size and s[0] > 0 else 1.0

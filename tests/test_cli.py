@@ -446,6 +446,46 @@ def test_an_option_after_a_vector_option_stays_an_option(tmp_path, capsys):
     assert not out.exists()
 
 
+def exit_code(args):
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+SIMULATE = ["simulate", "--algebra", "so3", "--inertia", "identity", "--pi0", "1,0,0"]
+
+
+@pytest.mark.parametrize("argv, option, value, message", [
+    (["omega", "--algebra", "so3"], "--rank-tol", "-1e-3", "error: --rank-tol must lie in (0, 1)"),
+    ([*SIMULATE, "--dt", "0.1"], "--T", "-1e-2",
+     "error: T must be non-negative and finite, got -0.01"),
+    ([*SIMULATE, "--T", "1"], "--dt", "-1e-2", "error: dt must be positive and finite, got -0.01"),
+    # --tol has no range check: the program's answer is its report
+    (["validate", "--algebra", "so3"], "--tol", "-1e-3", '"accepted": false'),
+])
+def test_scalar_value_with_a_leading_minus(tmp_path, capsys, argv, option, value, message):
+    # argparse alone reads a spaced -1e-3 as an unknown option: "expected one argument"
+    outputs = []
+    for args in ([*argv, option, value], [*argv, f"{option}={value}"]):
+        if args[0] == "simulate":
+            args += ["-o", tmp_path / "traj.csv"]
+        assert exit_code(args) == 2
+        outputs.append(capsys.readouterr())
+    assert message in outputs[0].out + outputs[0].err
+    assert outputs[0] == outputs[1]
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [[*SIMULATE, "--dt", "0.1", "--T"],
+                                  [*SIMULATE, "--T", "1", "--dt"]])
+def test_an_option_after_a_scalar_option_stays_an_option(tmp_path, capsys, argv):
+    assert exit_code([*argv, "-o", tmp_path / "traj.csv"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {argv[-1]}: expected one argument\n")
+    assert not (tmp_path / "traj.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["omega", "cohomology"])
 def test_one_dimensional_algebra(tmp_path, command):
     # no pairs a < b: Theta = 0 is exact, with the primitive xi = 0

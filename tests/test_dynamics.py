@@ -723,6 +723,17 @@ class TestEulerReference:
         with pytest.raises(ValueError):
             euler_reference(InertiaTensor.identity(2), [1.0, 0.0], T=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("pi0, T, message", [
+        # H overflows at t = 0.02, a step before pi does; integrate rejects the state at 0.03
+        ([1e3, 3e3, -2e3], 10.0, "non-finite energy at t = 0.02"),
+        ([1e160, 3e160, -2e160], 1.0, "non-finite energy at t = 0"),
+    ])
+    def test_energy_overflow_is_step_rejected(self, pi0, T, message):
+        # under the suite's error::RuntimeWarning filter an overflow warning would fail here
+        with pytest.raises(StepRejected) as info:
+            euler_reference(InertiaTensor.diagonal([1.0, 2.0, 3.0]), pi0, T=T, dt=0.01)
+        assert str(info.value) == message
+
     def test_bitwise_equal_to_np_cross_form(self, rng):
         # the written-out cross product keeps np.cross's roundings, signed zeros included
         for case in range(20):
