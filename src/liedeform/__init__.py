@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .errors import (
     DegenerateForm,
+    InvalidInput,
     LieDeformError,
     NotACocycle,
     NotAntisymmetric,

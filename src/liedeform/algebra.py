@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidInput, ShapeMismatch
 
 #: acceptance threshold for antisymmetry / Jacobi residuals
 AXIOM_TOL = 1e-12
@@ -268,7 +268,7 @@ def get_algebra(name: str) -> LieAlgebra:
         if not (n.isdecimal() and int(n) > 0):
             raise ValueError(f"registry algebra {name!r}: abelian<N> needs a positive integer N")
         return abelian(int(n))
-    raise KeyError(f"unknown registry algebra {name!r}; known: {registry_names()}")
+    raise InvalidInput(f"unknown registry algebra {name!r}; known: {registry_names()}")
 
 
 def registry_algebras() -> list[LieAlgebra]:
@@ -280,6 +280,9 @@ def load_algebra(path) -> LieAlgebra:
     """Load an algebra spec file {"name":, "dim":, "f":} and validate it."""
     with open(path) as fh:
         data = json.load(fh)
+    for key in ("name", "dim", "f"):
+        if key not in data:
+            raise InvalidInput(f"{path}: missing key {key!r}")
     f = np.asarray(data["f"], dtype=float)
     if f.shape != (data["dim"],) * 3:
         raise ShapeMismatch(f"{path}: declared dim {data['dim']} but f has shape {f.shape}")

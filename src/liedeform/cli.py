@@ -6,16 +6,18 @@ time or grid point: cells separated by commas and never quoted, lines ending in
 "\\r\\n", floats with 17 significant digits, so files round-trip bit-faithfully.
 Both Poisson cells of a sweep row are empty where the form is degenerate, and on
 every row when N < 2.  Exit codes: 0 success, 2 validation failure,
-3 degenerate-form abort.
+3 degenerate-form abort; exit 1 with a traceback is a bug.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -24,7 +26,7 @@ from . import __version__
 from .algebra import AXIOM_TOL, get_algebra, load_algebra, validate_algebra
 from .cohomology import _primitive, cocycle_residual, cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
-from .errors import DegenerateForm, LieDeformError, NotExact, UpsilonPresent
+from .errors import DegenerateForm, InvalidInput, LieDeformError, NotExact, UpsilonPresent
 from .phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid, degeneracy,
                           load_deformation)
 from .symmetry import isotropy_subalgebra
@@ -49,13 +51,31 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+@contextlib.contextmanager
+def _overwritten(path, newline=None):
+    """A text stream over ``path`` from offset 0; a regular file is then cut to what was written.
+
+    Opened without O_TRUNC: on ext4, shrinking a file to zero before rewriting it costs several
+    times the write.  Bytes, inode, permissions, symlinks and an error's prefix come out as with
+    ``open(path, "w")``; a non-regular path (/dev/null, a FIFO) is streamed and never cut.  Not
+    atomic: a hard kill before the cut can leave the old file's tail after a shorter output.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+
+
 #: rows per write: the Python floats and text of a file are held one block at a time
 _CSV_BLOCK = 1024
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray], row_format: str):
     """Write the header, then row k as ``row_format % (entry k of each column)``."""
-    with open(path, "w", newline="") as fh:
+    with _overwritten(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK):
             block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
@@ -65,7 +85,7 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray], row_form
 def emit_report(report: dict, output: str | None):
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
     if output:
-        with open(output, "w") as fh:
+        with _overwritten(output) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -125,6 +145,8 @@ def resolve_inertia(spec: str, n: int) -> InertiaTensor:
         return InertiaTensor.diagonal(parse_vector(spec[len("diag:"):], n, "--inertia"))
     with open(spec) as fh:
         data = json.load(fh)
+    if isinstance(data, dict) and "I_inv" not in data:
+        raise InvalidInput(f"--inertia: {spec}: missing key 'I_inv'")
     I_inv = np.asarray(data["I_inv"] if isinstance(data, dict) else data, float)
     if I_inv.shape != (n, n):
         raise ValueError(f"--inertia: expected a {n} x {n} matrix, got shape {I_inv.shape}")
@@ -379,13 +401,15 @@ def main(argv=None) -> int:
     # at 1 or above, an odd N's count of small singular values rounded up to even can exceed N
     if not 0.0 < getattr(args, "rank_tol", 0.5) < 1.0:  # omega and sweep only; NaN fails too
         parser.error("--rank-tol must lie in (0, 1)")
+    if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # validate only; NaN fails too
+        parser.error("--tol must be non-negative and finite")
     try:
         # looked up per call, not bound into the cached parser: a patched cmd_* is the one run
         return globals()[f"cmd_{args.command}"](args)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (LieDeformError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LieDeformError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

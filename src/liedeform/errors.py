@@ -5,6 +5,13 @@ class LieDeformError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidInput(LieDeformError, KeyError):
+    """A name or key the input should supply is unknown or missing.
+
+    A KeyError too, so callers that catch KeyError keep working and str() keeps its quotes.
+    """
+
+
 class ShapeMismatch(LieDeformError):
     """Input array does not have the required shape."""
 

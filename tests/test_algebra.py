@@ -10,7 +10,7 @@ from liedeform.algebra import (LieAlgebra, _expm, abelian, ad_exp, ad_matrix,
                                coadjoint_matrix, get_algebra, heisenberg,
                                is_semisimple, killing_form, load_algebra,
                                se2, sl2r, so3, validate_algebra)
-from liedeform.errors import ShapeMismatch
+from liedeform.errors import InvalidInput, LieDeformError, ShapeMismatch
 
 
 class TestValidation:
@@ -284,6 +284,19 @@ class TestLoader:
         assert get_algebra("abelian5").dim == 5
         with pytest.raises(KeyError):
             get_algebra("nope")
+
+    def test_missing_name_or_key_is_invalid_input(self, tmp_path):
+        # a LieDeformError for the CLI's exit 2, and a KeyError for callers that catch one
+        with pytest.raises(InvalidInput) as info:
+            get_algebra("nope")
+        assert isinstance(info.value, LieDeformError) and isinstance(info.value, KeyError)
+        path = tmp_path / "spec.json"
+        for key in ("name", "dim", "f"):
+            spec = {"name": "so3", "dim": 3, "f": so3().f.tolist()}
+            del spec[key]
+            path.write_text(json.dumps(spec))
+            with pytest.raises(InvalidInput, match=f"missing key '{key}'"):
+                load_algebra(path)
 
 
 def test_immutability():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -367,6 +368,43 @@ def test_wrong_matrix_shape_exit_2(tmp_path, capsys, argv, content, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, content, message", [
+    ("--algebra", {"name": "so3", "dim": 3}, "{path}: missing key 'f'"),
+    ("--algebra", {"name": "so3", "f": so3().f.tolist()}, "{path}: missing key 'dim'"),
+    ("--algebra", {"dim": 3, "f": so3().f.tolist()}, "{path}: missing key 'name'"),
+    ("--inertia", {"I": np.eye(3).tolist()}, "--inertia: {path}: missing key 'I_inv'"),
+])
+def test_missing_key_exit_2(tmp_path, capsys, option, content, message):
+    path, out = tmp_path / "spec.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    assert run(["isotropy", "--algebra", "so3", option, path, "-o", out]) == 2
+    # a KeyError's str() quotes its message
+    assert capsys.readouterr().err == f"error: {message.format(path=path)!r}\n"
+    assert not out.exists()
+
+
+INTERNAL_ERROR_SCRIPT = """
+import sys
+from liedeform import cli
+
+def cmd_validate(args):
+    raise KeyError("internal")
+
+cli.cmd_validate = cmd_validate
+sys.exit(cli.main(["validate", "--algebra", "so3"]))
+"""
+
+
+def test_an_internal_key_error_exits_1_with_a_traceback():
+    # exit 2 means bad input; a KeyError from the program itself is a bug, not a verdict
+    done = subprocess.run([sys.executable, "-c", INTERNAL_ERROR_SCRIPT],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith("KeyError: 'internal'\n")
+
+
 @pytest.mark.parametrize("argv", [["omega", "--algebra", "so3", "--pi", "1e308,1e308,1e308"],
                                   ["sweep", "--algebra", "so3", "--pi0", "1e308,1e308,1e308"],
                                   # LU meets a zero pivot, where K = I is nondegenerate
@@ -462,8 +500,8 @@ SIMULATE = ["simulate", "--algebra", "so3", "--inertia", "identity", "--pi0", "1
     ([*SIMULATE, "--dt", "0.1"], "--T", "-1e-2",
      "error: T must be non-negative and finite, got -0.01"),
     ([*SIMULATE, "--T", "1"], "--dt", "-1e-2", "error: dt must be positive and finite, got -0.01"),
-    # --tol has no range check: the program's answer is its report
-    (["validate", "--algebra", "so3"], "--tol", "-1e-3", '"accepted": false'),
+    (["validate", "--algebra", "so3"], "--tol", "-1e-3",
+     "error: --tol must be non-negative and finite"),
 ])
 def test_scalar_value_with_a_leading_minus(tmp_path, capsys, argv, option, value, message):
     # argparse alone reads a spaced -1e-3 as an unknown option: "expected one argument"
@@ -535,6 +573,19 @@ class TestOptions:
             main(["omega", "--algebra", "so3", f"--rank-tol={value}"])
         assert info.value.code == 2
         assert "error: --rank-tol must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "nan", "inf", "-inf"])
+    def test_tol_negative_or_not_finite_exit_2(self, value, capsys):
+        # a NaN or negative tolerance used to reject so3 with both residuals 0.0, unexplained
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--algebra", "so3", f"--tol={value}"])
+        assert info.value.code == 2
+        assert "error: --tol must be non-negative and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0"]])
+    def test_tol_zero_or_default_accepted(self, tol, capsys):
+        assert main(["validate", "--algebra", "so3", *tol]) == 0
+        assert '"accepted": true' in capsys.readouterr().out
 
     def test_reports_are_strict_json(self, tmp_path):
         with pytest.raises(ValueError):
@@ -645,6 +696,77 @@ class TestReportRoundTrip:
         report = read_json(out)
         assert np.array(report["poisson"]).shape == (6, 6)
         assert len(report["darboux_xi"]) == 3
+
+
+OMEGA = ["omega", "--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0.5,0"]
+SWEEP_41 = ["sweep", "--algebra", "abelian2",
+            "--axis", "theta:0,1=0:2:41", "--axis", "upsilon:0,1=0:2:41"]
+OUTPUTS = pytest.mark.parametrize("argv", [OMEGA, SWEEP_41], ids=["omega", "sweep"])
+
+
+def fresh_output(tmp_path, argv) -> bytes:
+    fresh = tmp_path / "fresh"
+    assert run([*argv, "-o", fresh]) == 0
+    return fresh.read_bytes()
+
+
+class TestOverwrite:
+    """An output is written over the old file and cut to length, never truncated to zero."""
+
+    @OUTPUTS
+    @pytest.mark.parametrize("old", [b"other text\n" * 40_000, b"x"], ids=["longer", "shorter"])
+    def test_same_bytes_and_inode_over_an_old_file(self, tmp_path, argv, old):
+        out = tmp_path / "out"
+        out.write_bytes(old)
+        inode = out.stat().st_ino
+        assert run([*argv, "-o", out]) == 0
+        assert out.read_bytes() == fresh_output(tmp_path, argv)
+        assert out.stat().st_ino == inode
+
+    def test_symlink_written_through_and_kept(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"other text\n" * 40_000)
+        link.symlink_to(target)
+        assert run([*OMEGA, "-o", link]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh_output(tmp_path, OMEGA)
+
+    @OUTPUTS
+    def test_dev_null(self, argv):
+        assert run([*argv, "-o", os.devnull]) == 0
+
+    @OUTPUTS
+    def test_fifo_receives_the_whole_output(self, tmp_path, argv):
+        # a stream: nothing to cut, and the sweep's 128 kB outgrow the pipe buffer
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run([*argv, "-o", fifo]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [fresh_output(tmp_path, argv)]
+
+    @OUTPUTS
+    @pytest.mark.parametrize("where, message", [
+        ("", "[Errno 21] Is a directory"),
+        ("missing/out", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_unwritable_path_exit_2(self, tmp_path, capsys, argv, where, message):
+        out = tmp_path / where
+        assert run([*argv, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}: {str(out)!r}\n"
+
+    def test_an_error_mid_write_leaves_only_the_prefix(self, tmp_path):
+        # the second block of rows fails to format after the first has been written
+        out = tmp_path / "grid.csv"
+        out.write_bytes(b"old tail\n" * 100_000)
+        column = np.array([*range(cli._CSV_BLOCK + 10), "x"], dtype=object)
+        with pytest.raises(TypeError):
+            cli._write_csv(out, ["k"], [column], "%d\r\n")
+        assert out.read_bytes() == b"k\r\n" + b"".join(b"%d\r\n" % k
+                                                      for k in range(cli._CSV_BLOCK))
 
 
 def test_parse_axis():
