@@ -55,18 +55,23 @@ def _jsonable(obj):
 def _overwritten(path, newline=None):
     """A text stream over ``path`` from offset 0; a regular file is then cut to what was written.
 
-    Opened without O_TRUNC: on ext4, shrinking a file to zero before rewriting it costs several
-    times the write.  Bytes, inode, permissions, symlinks and an error's prefix come out as with
-    ``open(path, "w")``; a non-regular path (/dev/null, a FIFO) is streamed and never cut.  Not
-    atomic: a hard kill before the cut can leave the old file's tail after a shorter output.
+    Opened without O_TRUNC: on ext4, a rewrite that first truncates the file to zero takes about
+    twice as long, also when the file was last written minutes before.  Bytes, inode,
+    permissions, symlinks and an error's prefix come out as with ``open(path, "w")``; a
+    non-regular path (/dev/null, a FIFO) is streamed and never cut.  Not atomic, and weaker
+    after a crash: a kill before the cut leaves the old tail after a shorter output, and a power
+    loss before writeback (about 30 s) can leave old and new blocks mixed within the new length,
+    where ext4 flushed a file truncated to zero on close and left the new file or an empty one.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
         try:
             yield fh
         finally:
-            fh.flush()
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+            try:
+                fh.flush()
+            finally:  # a failed flush (ENOSPC, EFBIG) still cuts the old tail off the prefix
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
 
 
 #: rows per write: the Python floats and text of a file are held one block at a time

@@ -768,6 +768,25 @@ class TestOverwrite:
         assert out.read_bytes() == b"k\r\n" + b"".join(b"%d\r\n" % k
                                                       for k in range(cli._CSV_BLOCK))
 
+    def test_a_failed_flush_still_cuts_the_old_tail(self, tmp_path):
+        # the 770-byte report is buffered whole, so the writer's own flush is the write that
+        # fails (EFBIG past a 300-byte file size limit); what reached the file is cut all the same
+        out = tmp_path / "report.json"
+        out.write_bytes(b"old tail\n" * 50_000)
+        done = subprocess.run([sys.executable, "-c", FILE_SIZE_LIMIT_SCRIPT, *OMEGA, "-o", out],
+                              capture_output=True, text=True, env=subprocess_env())
+        assert (done.returncode, done.stderr) == (2, "error: [Errno 27] File too large\n")
+        assert out.read_bytes() == fresh_output(tmp_path, OMEGA)[:300]
+
+
+FILE_SIZE_LIMIT_SCRIPT = r"""
+import resource, signal, sys
+from liedeform.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails, not the process
+resource.setrlimit(resource.RLIMIT_FSIZE, (300, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def test_parse_axis():
     kind, indices, values = parse_axis("theta:0,1=0:2:9")

@@ -8,8 +8,12 @@ devices or of an error partway through.
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 WRITER = ("liedeform/cli.py", "_overwritten")
+#: modules whose open/fdopen take the path or descriptor first and the mode second
+MODULES = ("os", "io", "builtins", "codecs")
 
 
 def parsed_sources():
@@ -31,9 +35,13 @@ def writes(node) -> bool:
         return False
     if called_name(node) in ("write_text", "write_bytes"):
         return True
-    if called_name(node) != "open":
+    if called_name(node) not in ("open", "fdopen"):
         return False
-    mode = node.args[1] if len(node.args) > 1 else next(
+    # open(file, mode), os.open(path, flags), io.open and os.fdopen(fd, mode); but a method such
+    # as Path.open(mode) takes the mode first
+    receiver = getattr(node.func, "value", None)
+    first = isinstance(node.func, ast.Attribute) and getattr(receiver, "id", None) not in MODULES
+    mode = node.args[0 if first else 1] if len(node.args) > (0 if first else 1) else next(
         (kw.value for kw in node.keywords if kw.arg in ("mode", "flags")), ast.Constant("r"))
     return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
                 and not set(mode.value) & set("wax+"))
@@ -51,3 +59,13 @@ def test_files_are_written_only_by_the_writer():
                 in_writer.append(node)
     # the writer's os.open and open(fd, "w"): the check reads the calls it is about
     assert len(in_writer) == 2
+
+
+@pytest.mark.parametrize("source, opens_for_writing", [
+    ('open(p, "w")', True), ('open(p)', False), ('io.open(p, "rb")', False),
+    ('os.fdopen(fd, "a")', True), ('os.fdopen(fd)', False), ('os.open(p, flags)', True),
+    ('Path(p).open("w")', True), ('p.open(mode="x")', True), ('p.open()', False),
+    ('p.open("r")', False), ('p.open(mode)', True), ('p.write_bytes(b)', True),
+])
+def test_writes_reads_the_mode_where_each_call_takes_it(source, opens_for_writing):
+    assert writes(ast.parse(source, mode="eval").body) == opens_for_writing
