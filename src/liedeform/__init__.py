@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .algebra import (
     LieAlgebra,
     ValidationReport,
-    ad_exp,
     ad_matrix,
-    coadjoint_matrix,
     get_algebra,
     is_semisimple,
     killing_form,
@@ -22,7 +20,6 @@ from .cohomology import (
     delta1_scalar,
     delta1_vector,
     delta2,
-    is_symplectic_cocycle,
     solve_primitive,
 )
 from .dynamics import (
@@ -57,8 +54,5 @@ from .phase_space import (
 )
 from .symmetry import (
     IsotropySubalgebra,
-    group_isotropy_check,
     isotropy_subalgebra,
-    lie_derivative_cocycle,
-    lie_derivative_momentum_form,
 )

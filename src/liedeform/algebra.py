@@ -187,33 +187,20 @@ def _expm(X, minus_identity: bool = False) -> np.ndarray:
     return E.reshape(shape)
 
 
-def ad_exp(algebra: LieAlgebra, u, t: float) -> np.ndarray:
-    """Adjoint representation of exp(t u): the matrix exponential of t * ad_u."""
-    return _expm(t * ad_matrix(algebra, u))
-
-
-def coadjoint_matrix(algebra: LieAlgebra, u, t: float) -> np.ndarray:
-    """K(exp(t u)) on the dual space: transpose of Ad(exp(-t u))."""
-    return ad_exp(algebra, u, -t).T
-
-
 # ---------------------------------------------------------------------------
 # benchmark registry
 # ---------------------------------------------------------------------------
-
-def _levi_civita(n: int = 3) -> np.ndarray:
-    eps = np.zeros((n, n, n))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    return eps
-
 
 def abelian(n: int) -> LieAlgebra:
     return LieAlgebra.from_structure_constants(f"abelian{n}", np.zeros((n, n, n)))
 
 
 def so3() -> LieAlgebra:
-    return LieAlgebra.from_structure_constants("so3", _levi_civita())
+    # the Levi-Civita symbol: [e1, e2] = e3 and cyclic
+    f = np.zeros((3, 3, 3))
+    f[0, 1, 2] = f[1, 2, 0] = f[2, 0, 1] = 1.0
+    f[0, 2, 1] = f[2, 1, 0] = f[1, 0, 2] = -1.0
+    return LieAlgebra.from_structure_constants("so3", f)
 
 
 def sl2r() -> LieAlgebra:
@@ -254,10 +241,6 @@ _REGISTRY = {
 }
 
 
-def registry_names() -> list[str]:
-    return sorted(_REGISTRY) + ["abelian<N>"]
-
-
 @functools.cache
 def get_algebra(name: str) -> LieAlgebra:
     """The benchmark algebra of this name ('abelianN' is N-dim abelian), built once per process."""
@@ -268,7 +251,8 @@ def get_algebra(name: str) -> LieAlgebra:
         if not (n.isdecimal() and int(n) > 0):
             raise ValueError(f"registry algebra {name!r}: abelian<N> needs a positive integer N")
         return abelian(int(n))
-    raise InvalidInput(f"unknown registry algebra {name!r}; known: {registry_names()}")
+    raise InvalidInput(f"unknown registry algebra {name!r}; "
+                       f"known: {sorted(_REGISTRY) + ['abelian<N>']}")
 
 
 def registry_algebras() -> list[LieAlgebra]:
@@ -276,10 +260,18 @@ def registry_algebras() -> list[LieAlgebra]:
     return [get_algebra(name) for name in ("abelian2", "abelian3", *sorted(_REGISTRY))]
 
 
-def load_algebra(path) -> LieAlgebra:
-    """Load an algebra spec file {"name":, "dim":, "f":} and validate it."""
+def _load_object(path) -> dict:
+    """The JSON object in the spec file at ``path``; InvalidInput if its top level is not one."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_algebra(path) -> LieAlgebra:
+    """Load an algebra spec file {"name":, "dim":, "f":} and validate it."""
+    data = _load_object(path)
     for key in ("name", "dim", "f"):
         if key not in data:
             raise InvalidInput(f"{path}: missing key {key!r}")

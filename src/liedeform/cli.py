@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 
-REGISTRY_ENV = "LIEDEFORM_REGISTRY"
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -120,24 +118,14 @@ def parse_vector(text: str, n: int, option: str) -> np.ndarray:
 
 
 def resolve_algebra(spec: str):
-    """Path to an algebra spec file, or a registry name.
-
-    With LIEDEFORM_REGISTRY set, names are first resolved as <dir>/<name>.json.
-    """
-    if os.path.exists(spec):
-        return load_algebra(spec)
-    override = os.environ.get(REGISTRY_ENV)
-    if override:
-        candidate = os.path.join(override, spec + ".json")
-        if os.path.exists(candidate):
-            return load_algebra(candidate)
-    return get_algebra(spec)
+    """Path to an algebra spec file, or a registry name."""
+    return load_algebra(spec) if os.path.exists(spec) else get_algebra(spec)
 
 
 def resolve_structure(args, algebra) -> DeformedStructure:
-    if getattr(args, "deformation", None):
+    if args.deformation:
         return load_deformation(args.deformation, algebra)
-    if getattr(args, "xi", None):
+    if args.xi:
         xi = parse_vector(args.xi, algebra.dim, "--xi")
         return DeformedStructure(algebra, delta1_scalar(algebra, xi))
     return DeformedStructure(algebra)
@@ -177,8 +165,7 @@ def _emit(out: dict, payload, output: str | None):
     emit_report({**out, "input_hash": input_hash(payload), "version": __version__}, output)
 
 
-def cmd_validate(args) -> int:
-    algebra = resolve_algebra(args.algebra)
+def cmd_validate(args, algebra) -> int:
     report = validate_algebra(algebra.f, tol=args.tol)
     _emit({"algebra": algebra.name, "dim": algebra.dim,
            "antisymmetry_residual": report.antisymmetry_residual,
@@ -187,8 +174,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.accepted else EXIT_VALIDATION
 
 
-def cmd_cohomology(args) -> int:
-    algebra = resolve_algebra(args.algebra)
+def cmd_cohomology(args, algebra) -> int:
     structure = resolve_structure(args, algebra)
     dims = cohomology_dimensions(algebra)
     try:
@@ -202,8 +188,7 @@ def cmd_cohomology(args) -> int:
     return EXIT_OK
 
 
-def cmd_omega(args) -> int:
-    algebra = resolve_algebra(args.algebra)
+def cmd_omega(args, algebra) -> int:
     structure = resolve_structure(args, algebra)
     pi = parse_vector(args.pi, algebra.dim, "--pi") if args.pi else np.zeros(algebra.dim)
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
@@ -217,8 +202,7 @@ def cmd_omega(args) -> int:
     return EXIT_OK
 
 
-def cmd_isotropy(args) -> int:
-    algebra = resolve_algebra(args.algebra)
+def cmd_isotropy(args, algebra) -> int:
     structure = resolve_structure(args, algebra)
     inertia_inv = resolve_inertia(args.inertia, algebra.dim).I_inv if args.inertia else None
     sub = isotropy_subalgebra(algebra, structure.Theta, structure.Upsilon, inertia_inv)
@@ -228,8 +212,7 @@ def cmd_isotropy(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    algebra = resolve_algebra(args.algebra)
+def cmd_simulate(args, algebra) -> int:
     structure = resolve_structure(args, algebra)
     inertia = resolve_inertia(args.inertia, algebra.dim)
     pi0 = parse_vector(args.pi0, algebra.dim, "--pi0")
@@ -277,8 +260,7 @@ def parse_axis(text: str):
     return kind, indices, values
 
 
-def cmd_sweep(args) -> int:
-    algebra = resolve_algebra(args.algebra)
+def cmd_sweep(args, algebra) -> int:
     base = resolve_structure(args, algebra)
     pi = parse_vector(args.pi0, algebra.dim, "--pi0") if args.pi0 else np.zeros(algebra.dim)
     axes = [parse_axis(spec) for spec in args.axis]
@@ -410,7 +392,7 @@ def main(argv=None) -> int:
         parser.error("--tol must be non-negative and finite")
     try:
         # looked up per call, not bound into the cached parser: a patched cmd_* is the one run
-        return globals()[f"cmd_{args.command}"](args)
+        return globals()[f"cmd_{args.command}"](args, resolve_algebra(args.algebra))
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -94,8 +94,8 @@ def cocycle_residual(algebra: LieAlgebra, Theta):
 def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
     """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error.
 
-    The one admission rule: DeformedStructure, decide_grid, solve_primitive and
-    is_symplectic_cocycle (the last two with Upsilon = 0) all apply it.
+    The one admission rule: DeformedStructure, decide_grid and solve_primitive (the last
+    with Upsilon = 0) all apply it.
     """
     n = algebra.dim
     for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
@@ -120,16 +120,6 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
         k = np.argmax(asymmetric[first])
         _reject_asymmetric(("Theta", "Upsilon")[k], pair[first, k], residual[first, k],
                            bound[first, k])
-
-
-def is_symplectic_cocycle(algebra: LieAlgebra, theta) -> bool:
-    """True iff ``_admit`` admits theta with Upsilon = 0: N x N, finite, antisymmetric, closed."""
-    theta = np.asarray(theta, float)
-    try:
-        _admit(algebra, theta[None], np.zeros_like(theta)[None])
-    except (NotAntisymmetric, NotACocycle):
-        return False
-    return True
 
 
 @functools.cache

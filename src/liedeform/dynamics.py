@@ -283,8 +283,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     )
 
 
-def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
-                    extra_monitors: dict | None = None) -> Trajectory:
+def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float) -> Trajectory:
     """Independent rigid-body oracle on so(3): RK4 on pidot = pi x (I_inv pi)."""
     pi = np.asarray(pi0, float)
     if pi.shape != (3,):
@@ -297,8 +296,7 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
         (p0, p1, p2), (w0, w1, w2) = p.tolist(), (inertia.I_inv @ p).tolist()
         return np.array([p1 * w2 - p2 * w1, p2 * w0 - p0 * w2, p0 * w1 - p1 * w0])
 
-    extra = dict(extra_monitors or {})
-    pis, energies, channels = [], [], {name: [] for name in extra}
+    pis, energies = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported as StepRejected
         for k in range(steps + 1):
             pi = _rk4_step(rhs, pi, dt) if k else pi
@@ -308,11 +306,7 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float,
                 raise StepRejected(f"non-finite {what} at t = {times[k]:.6g}")
             pis.append(pi.copy())
             energies.append(energy)
-            for name, vec in extra.items():
-                channels[name].append(float(np.dot(vec, pi)))
-    monitors = {"energy": np.array(energies)}
-    monitors.update({k: np.array(v) for k, v in channels.items()})
-    return Trajectory(times=times, pis=np.array(pis), monitors=monitors)
+    return Trajectory(times=times, pis=np.array(pis), monitors={"energy": np.array(energies)})
 
 
 def so3_vector_representation() -> np.ndarray:

@@ -21,12 +21,11 @@ every singular value of K lies in [1 - 0.9, 1 + 0.9] = [0.1, 1.9] and K and M ar
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import LieAlgebra, _read_only, _require_finite
+from .algebra import LieAlgebra, _load_object, _read_only, _require_finite
 from .cohomology import _admit, _primitive, delta1_scalar
 from .errors import DegenerateForm, UpsilonPresent
 
@@ -179,8 +178,7 @@ def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:
 
     A null Theta together with a non-null xi builds the coboundary of xi.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_object(path)
     Theta = data.get("Theta")
     if Theta is None and data.get("xi") is not None:
         Theta = delta1_scalar(algebra, data["xi"])

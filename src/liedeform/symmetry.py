@@ -11,28 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, ad_exp, ad_matrix
+from .algebra import LieAlgebra
 
 #: singular values below this (relative) cut count as zero in null-space extraction
 NULLSPACE_TOL = 1e-10
 
 
-def lie_derivative_cocycle(algebra: LieAlgebra, u, Theta) -> np.ndarray:
-    """(L_u Theta)_{mn} = Theta(ad_u e_m, e_n) + Theta(e_m, ad_u e_n); one per row of a stack u."""
-    return _cocycle_derivative(ad_matrix(algebra, u), Theta)
-
-
 def _cocycle_derivative(ad: np.ndarray, Theta) -> np.ndarray:
+    """(L_u Theta)_{mn} = Theta(ad_u e_m, e_n) + Theta(e_m, ad_u e_n); one per ad_u of a stack."""
     Theta = np.asarray(Theta, float)
     return ad.swapaxes(-1, -2) @ Theta + Theta @ ad
 
 
-def lie_derivative_momentum_form(algebra: LieAlgebra, u, Upsilon) -> np.ndarray:
-    """Contravariant -(ad_u Upsilon + Upsilon ad_u^T), also of inertia; one per row of a stack u."""
-    return _momentum_form_derivative(ad_matrix(algebra, u), Upsilon)
-
-
 def _momentum_form_derivative(ad: np.ndarray, Upsilon) -> np.ndarray:
+    """Contravariant -(ad_u Upsilon + Upsilon ad_u^T), also of inertia; one per ad_u of a stack."""
     Upsilon = np.asarray(Upsilon, float)
     return -(ad @ Upsilon + Upsilon @ ad.swapaxes(-1, -2))
 
@@ -66,14 +58,3 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
             residual = max(residual, float(np.linalg.norm(w - proj @ w)))
     return IsotropySubalgebra(basis=basis, dimension=basis.shape[0],
                               closure_residual=residual)
-
-
-def group_isotropy_check(algebra: LieAlgebra, u, t: float, Theta, Upsilon) -> float:
-    """Max-entry residual of the finite invariance conditions at a = exp(t u)."""
-    Theta = np.asarray(Theta, float)
-    Upsilon = np.asarray(Upsilon, float)
-    Ad = ad_exp(algebra, u, t)
-    Ad_inv = ad_exp(algebra, u, -t)
-    r_theta = np.max(np.abs(Ad.T @ Theta @ Ad - Theta), initial=0.0)
-    r_upsilon = np.max(np.abs(Ad_inv @ Upsilon @ Ad_inv.T - Upsilon), initial=0.0)
-    return float(max(r_theta, r_upsilon))

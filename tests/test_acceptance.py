@@ -13,9 +13,10 @@ from liedeform.dynamics import (InertiaTensor, euler_reference, integrate)
 from liedeform.phase_space import (DeformedStructure, degeneracy,
                                    lie_poisson_block, omega_matrix,
                                    poisson_tensor)
-from liedeform.symmetry import group_isotropy_check, isotropy_subalgebra
+from liedeform.symmetry import isotropy_subalgebra
 
 from conftest import random_antisymmetric
+from test_symmetry import group_isotropy_check
 
 REGISTRY = registry_algebras()
 RIGID_BODY = InertiaTensor.diagonal([1.0, 0.5, 1.0 / 3.0])

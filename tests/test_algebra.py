@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from liedeform.algebra import (LieAlgebra, _expm, abelian, ad_exp, ad_matrix,
-                               coadjoint_matrix, get_algebra, heisenberg,
-                               is_semisimple, killing_form, load_algebra,
+from liedeform.algebra import (LieAlgebra, _expm, abelian, ad_matrix, get_algebra,
+                               heisenberg, is_semisimple, killing_form, load_algebra,
                                se2, sl2r, so3, validate_algebra)
 from liedeform.errors import InvalidInput, LieDeformError, ShapeMismatch
 
@@ -116,14 +115,16 @@ class TestAdjoint:
 
 
 class TestAdExp:
+    """Ad(exp(t u)) as _expm(t * ad_u): the exponential behind integrate(rep=...)."""
+
     def test_t_zero_identity(self, registry, rng):
         for algebra in registry:
             u = rng.normal(size=algebra.dim)
-            assert np.allclose(ad_exp(algebra, u, 0.0), np.eye(algebra.dim),
+            assert np.allclose(_expm(0.0 * ad_matrix(algebra, u)), np.eye(algebra.dim),
                                atol=1e-15)
 
     def test_so3_quarter_turn(self):
-        A = ad_exp(so3(), [0.0, 0.0, 1.0], np.pi / 2)
+        A = _expm(np.pi / 2 * ad_matrix(so3(), [0.0, 0.0, 1.0]))
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.allclose(A, expected, atol=1e-14)
 
@@ -132,22 +133,22 @@ class TestAdExp:
         u = np.array([1.0, 0.0, 0.0])
         for t in (0.5, -3.0, 7.25):
             expected = np.eye(3) + t * ad_matrix(algebra, u)
-            assert np.array_equal(ad_exp(algebra, u, t), expected)
+            assert np.array_equal(_expm(t * ad_matrix(algebra, u)), expected)
 
     def test_inverse(self, registry, rng):
         for algebra in registry:
             for _ in range(10):
                 u = rng.normal(size=algebra.dim)
                 t = rng.uniform(-2, 2)
-                prod = ad_exp(algebra, u, t) @ ad_exp(algebra, u, -t)
+                prod = _expm(t * ad_matrix(algebra, u)) @ _expm(-t * ad_matrix(algebra, u))
                 assert np.max(np.abs(prod - np.eye(algebra.dim))) < 1e-12
 
     def test_one_parameter_group(self, registry, rng):
         for algebra in registry:
             u = rng.normal(size=algebra.dim)
             s, t = rng.uniform(-1.5, 1.5, size=2)
-            lhs = ad_exp(algebra, u, s + t)
-            rhs = ad_exp(algebra, u, s) @ ad_exp(algebra, u, t)
+            lhs = _expm((s + t) * ad_matrix(algebra, u))
+            rhs = _expm(s * ad_matrix(algebra, u)) @ _expm(t * ad_matrix(algebra, u))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_preserves_killing_form_semisimple(self, rng):
@@ -156,7 +157,7 @@ class TestAdExp:
             for _ in range(20):
                 u = rng.normal(size=3)
                 t = rng.uniform(-2, 2)
-                Ad = ad_exp(algebra, u, t)
+                Ad = _expm(t * ad_matrix(algebra, u))
                 assert np.max(np.abs(Ad.T @ B @ Ad - B)) < 1e-9
 
 
@@ -166,7 +167,7 @@ def scaled_to_norm(rng, n, norm):
 
 
 class TestExponential:
-    """The numpy exponential behind ad_exp and integrate's group update."""
+    """The numpy exponential behind integrate's group update."""
 
     def test_matches_scipy_on_the_step_range(self, rng):
         for n in range(1, 11):
@@ -208,37 +209,6 @@ class TestExponential:
             assert _expm(X[:0], minus_identity).shape == (0, 3, 3)
 
 
-class TestCoadjoint:
-    def test_t_zero_identity(self, registry, rng):
-        for algebra in registry:
-            u = rng.normal(size=algebra.dim)
-            assert np.allclose(coadjoint_matrix(algebra, u, 0.0),
-                               np.eye(algebra.dim), atol=1e-15)
-
-    def test_so3_orthogonal(self, rng):
-        # orthogonal adjoint: inverse-transpose equals itself
-        algebra = so3()
-        u = rng.normal(size=3)
-        t = 0.7
-        assert np.allclose(coadjoint_matrix(algebra, u, t),
-                           ad_exp(algebra, u, t), atol=1e-13)
-
-    def test_abelian_identity(self, rng):
-        algebra = abelian(3)
-        assert np.array_equal(coadjoint_matrix(algebra, rng.normal(size=3), 2.3),
-                              np.eye(3))
-
-    def test_pairing(self, registry, rng):
-        # <K(g) pi, v> = <pi, Ad(g^{-1}) v>
-        for algebra in registry:
-            for _ in range(10):
-                u, pi, v = rng.normal(size=(3, algebra.dim))
-                t = rng.uniform(-1, 1)
-                K = coadjoint_matrix(algebra, u, t)
-                Ad_inv = ad_exp(algebra, u, -t)
-                assert abs((K @ pi) @ v - pi @ (Ad_inv @ v)) < 1e-11
-
-
 @given(st.integers(min_value=1, max_value=5))
 def test_abelian_any_dim_trivial(n):
     algebra = abelian(n)
@@ -251,7 +221,7 @@ def test_abelian_any_dim_trivial(n):
 def test_so3_ad_exp_is_rotation(components):
     # the adjoint group of so(3) is orthogonal
     algebra = so3()
-    Ad = ad_exp(algebra, np.array(components), 1.0)
+    Ad = _expm(ad_matrix(algebra, np.array(components)))
     assert np.max(np.abs(Ad.T @ Ad - np.eye(3))) < 1e-11
 
 

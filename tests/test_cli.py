@@ -85,11 +85,6 @@ class TestValidate:
     def test_missing_file_exit_2(self):
         assert run(["validate", "--algebra", "/nonexistent.json"]) == 2
 
-    def test_registry_env_override(self, so3_file, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("LIEDEFORM_REGISTRY", str(so3_file.parent))
-        # resolved as <dir>/so3.json rather than the builtin
-        assert run(["validate", "--algebra", "so3"]) == 0
-
 
 class TestCohomology:
     def test_heisenberg_dims(self, tmp_path):
@@ -383,11 +378,26 @@ def test_missing_key_exit_2(tmp_path, capsys, option, content, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--algebra", "--deformation", "--inertia"])
+@pytest.mark.parametrize("content", [[1, 2], 5, "so3"])
+def test_spec_file_that_is_not_a_json_object_exit_2(tmp_path, capsys, option, content):
+    # a list, a number or a string at the top level is bad input, not an AttributeError
+    path, out = tmp_path / "spec.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    algebra = [] if option == "--algebra" else ["--algebra", "so3"]
+    assert run(["isotropy", *algebra, option, path, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if option != "--inertia":  # InvalidInput names the file
+        assert f"{path}: expected a JSON object, got {type(content).__name__}" in err
+    assert not out.exists()
+
+
 INTERNAL_ERROR_SCRIPT = """
 import sys
 from liedeform import cli
 
-def cmd_validate(args):
+def cmd_validate(args, algebra):
     raise KeyError("internal")
 
 cli.cmd_validate = cmd_validate
@@ -684,7 +694,7 @@ class TestParserReuse:
     def test_dispatch_reads_the_module_binding(self, monkeypatch, tmp_path):
         # the parser is built once; a cmd_* patched (or traced) later must still be the one run
         assert run(["validate", "--algebra", "so3", "-o", tmp_path / "v.json"]) == 0
-        monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+        monkeypatch.setattr(cli, "cmd_validate", lambda args, algebra: 7)
         assert run(["validate", "--algebra", "so3"]) == 7
 
 
@@ -825,11 +835,11 @@ for argv in (["validate", "--algebra", "so3", "-o", out + "/v.json"],
               "--T", "0.1", "--dt", "0.01", "-o", out + "/t.csv",
               "--summary", out + "/t.json"]):
     assert liedeform.cli.main(argv) == 0, argv
-# ad_exp gives the rotation about a unit axis (Rodrigues) without scipy too
+# _expm gives the rotation about a unit axis (Rodrigues) without scipy too
 u, t = np.array([1.0, 2.0, 2.0]) / 3.0, 0.7
 K = liedeform.ad_matrix(so3, u)
 rotation = np.eye(3) + np.sin(t) * K + (1.0 - np.cos(t)) * K @ K
-assert np.max(np.abs(liedeform.ad_exp(so3, u, t) - rotation)) < 1e-14
+assert np.max(np.abs(liedeform.algebra._expm(t * K) - rotation)) < 1e-14
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

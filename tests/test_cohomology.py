@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from liedeform.algebra import LieAlgebra, abelian, heisenberg, sl2r, so3
 from liedeform.cohomology import (admission_tol, cohomology_dimensions, cocycle_residual,
-                                  delta1_scalar, delta1_vector, delta2,
-                                  is_symplectic_cocycle, solve_primitive)
+                                  delta1_scalar, delta1_vector, delta2, solve_primitive)
 from liedeform.errors import NotACocycle, NotAntisymmetric, NotExact
 from liedeform.phase_space import DeformedStructure, decide_grid
 
@@ -153,19 +152,24 @@ class TestBatchAxis:
 
 
 class TestIsSymplecticCocycle:
+    """Admission with Upsilon = 0, through solve_primitive: it raises NotExact only after _admit."""
+
     def test_coboundaries_are_cocycles(self, registry, rng):
         for algebra in registry:
             for _ in range(10):
                 theta = delta1_scalar(algebra, rng.normal(size=algebra.dim))
-                assert is_symplectic_cocycle(algebra, theta), algebra.name
+                solve_primitive(algebra, theta)
 
     def test_symmetric_rejected(self):
-        assert not is_symplectic_cocycle(so3(), np.eye(3))
+        with pytest.raises(NotAntisymmetric):
+            solve_primitive(so3(), np.eye(3))
 
     def test_heisenberg_theta13(self):
+        # closed but not exact: admitted, then NotExact
         Theta = np.zeros((3, 3))
         Theta[0, 2], Theta[2, 0] = 1.0, -1.0
-        assert is_symplectic_cocycle(heisenberg(), Theta)
+        with pytest.raises(NotExact):
+            solve_primitive(heisenberg(), Theta)
 
 
 #: finite entries whose delta2 sums inf - inf on sl2r: a NaN residual
@@ -182,7 +186,6 @@ class TestOneAdmissionRule:
                       lambda: solve_primitive(algebra, Theta)):
             with pytest.raises(NotACocycle, match=message):
                 admit()
-        assert is_symplectic_cocycle(algebra, Theta) is False
 
     def test_tolerance_does_not_overflow(self):
         # max|Theta| max|f| = 1.95e308 overflows, but 1e-9 of it does not: no admission at inf
@@ -196,11 +199,14 @@ class TestOneAdmissionRule:
         with pytest.raises(NotACocycle) as info:
             DeformedStructure(algebra, Theta)
         assert str(info.value) == "Theta is not a two-cocycle: residual 1.500e+300 > 1.950e+299"
-        assert is_symplectic_cocycle(algebra, Theta) is False
+        with pytest.raises(NotACocycle):
+            solve_primitive(algebra, Theta)
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 2), (4, 4), (3,), (1, 3, 3)])
     def test_wrongly_shaped_theta_is_not_a_cocycle(self, shape):
-        assert is_symplectic_cocycle(so3(), np.zeros(shape)) is False
+        for admit in (DeformedStructure, solve_primitive):
+            with pytest.raises(NotAntisymmetric):
+                admit(so3(), np.zeros(shape))
 
     def test_agrees_with_deformed_structure(self, registry, rng):
         for algebra in registry + [so3_plus_center()]:
@@ -212,7 +218,14 @@ class TestOneAdmissionRule:
                     admitted = False
                 else:
                     admitted = True
-                assert is_symplectic_cocycle(algebra, Theta) is admitted
+                try:
+                    solve_primitive(algebra, Theta)
+                except NotACocycle:
+                    assert not admitted
+                except NotExact:  # raised only after admission
+                    assert admitted
+                else:
+                    assert admitted
 
 
 class TestSolvePrimitive:

@@ -3,7 +3,7 @@ import pytest
 
 from liedeform import cohomology, phase_space
 from liedeform.algebra import _transpose_residual, abelian, heisenberg, se2, sl2r, so3
-from liedeform.cohomology import cocycle_residual, delta1_scalar, is_symplectic_cocycle
+from liedeform.cohomology import cocycle_residual, delta1_scalar, solve_primitive
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
 from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
                               NotExact, UpsilonPresent)
@@ -76,7 +76,7 @@ class TestStructureAdmission:
         Theta = delta1_scalar(so3(), [0.0, 0.0, 1e6]) + noise
         S = DeformedStructure(so3(), Theta)
         assert cocycle_residual(so3(), Theta) < 1e-9  # delta2 admits what _admit admits
-        assert is_symplectic_cocycle(so3(), Theta)
+        solve_primitive(so3(), Theta)  # admitted with Upsilon = 0 too
         assert degeneracy(S, np.zeros(3)).nullity == 0
         # relative asymmetry above 1e-12 is still rejected, with its residual and bound
         with pytest.raises(NotAntisymmetric,

@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
-from liedeform.algebra import abelian, ad_exp, se2, sl2r, so3
+from liedeform.algebra import _expm, abelian, ad_matrix, se2, sl2r, so3
 from liedeform.cohomology import delta1_scalar
-from liedeform.symmetry import (group_isotropy_check, isotropy_subalgebra,
-                                lie_derivative_cocycle, lie_derivative_momentum_form)
+from liedeform.symmetry import (_cocycle_derivative, _momentum_form_derivative,
+                                isotropy_subalgebra)
 
 from conftest import random_antisymmetric
 
 E1, E2, E3 = np.eye(3)
+
+
+def group_isotropy_check(algebra, u, t: float, Theta, Upsilon) -> float:
+    """Max-entry residual of the finite invariance conditions at a = exp(t u)."""
+    Theta = np.asarray(Theta, float)
+    Upsilon = np.asarray(Upsilon, float)
+    Ad = _expm(t * ad_matrix(algebra, u))
+    Ad_inv = _expm(-t * ad_matrix(algebra, u))
+    r_theta = np.max(np.abs(Ad.T @ Theta @ Ad - Theta), initial=0.0)
+    r_upsilon = np.max(np.abs(Ad_inv @ Upsilon @ Ad_inv.T - Upsilon), initial=0.0)
+    return float(max(r_theta, r_upsilon))
 
 
 def theta_about_axis3():
@@ -18,19 +29,19 @@ def theta_about_axis3():
 class TestLieDerivativeCocycle:
     def test_zero_element(self, rng):
         Theta = random_antisymmetric(rng, 3)
-        assert np.array_equal(lie_derivative_cocycle(so3(), np.zeros(3), Theta),
+        assert np.array_equal(_cocycle_derivative(ad_matrix(so3(), np.zeros(3)), Theta),
                               np.zeros((3, 3)))
 
     def test_abelian_all_vanish(self, rng):
         algebra = abelian(3)
         Theta = random_antisymmetric(rng, 3)
-        assert np.array_equal(lie_derivative_cocycle(algebra, rng.normal(size=3), Theta),
+        assert np.array_equal(_cocycle_derivative(ad_matrix(algebra, rng.normal(size=3)), Theta),
                               np.zeros((3, 3)))
 
     def test_so3_axis_fixing(self):
         Theta = theta_about_axis3()
-        assert np.max(np.abs(lie_derivative_cocycle(so3(), E3, Theta))) < 1e-14
-        assert np.max(np.abs(lie_derivative_cocycle(so3(), E1, Theta))) > 0.5
+        assert np.max(np.abs(_cocycle_derivative(ad_matrix(so3(), E3), Theta))) < 1e-14
+        assert np.max(np.abs(_cocycle_derivative(ad_matrix(so3(), E1), Theta))) > 0.5
 
     def test_finite_difference(self, registry, rng):
         # derivative at t = 0 of Ad^T Theta Ad, central differences at h = 1e-5
@@ -40,10 +51,10 @@ class TestLieDerivativeCocycle:
                 u = rng.normal(size=algebra.dim)
                 Theta = random_antisymmetric(rng, algebra.dim)
                 def conj(t):
-                    Ad = ad_exp(algebra, u, t)
+                    Ad = _expm(t * ad_matrix(algebra, u))
                     return Ad.T @ Theta @ Ad
                 fd = (conj(h) - conj(-h)) / (2 * h)
-                exact = lie_derivative_cocycle(algebra, u, Theta)
+                exact = _cocycle_derivative(ad_matrix(algebra, u), Theta)
                 assert np.max(np.abs(fd - exact)) < 1e-7
 
 
@@ -51,19 +62,19 @@ class TestLieDerivativeMomentumForm:
     def test_zero_element(self, rng):
         Upsilon = random_antisymmetric(rng, 3)
         assert np.array_equal(
-            lie_derivative_momentum_form(so3(), np.zeros(3), Upsilon),
+            _momentum_form_derivative(ad_matrix(so3(), np.zeros(3)), Upsilon),
             np.zeros((3, 3)))
 
     def test_zero_upsilon(self, rng):
         assert np.array_equal(
-            lie_derivative_momentum_form(so3(), rng.normal(size=3), np.zeros((3, 3))),
+            _momentum_form_derivative(ad_matrix(so3(), rng.normal(size=3)), np.zeros((3, 3))),
             np.zeros((3, 3)))
 
     def test_so3_axis_fixing_dual(self):
         Upsilon = np.zeros((3, 3))
         Upsilon[0, 1], Upsilon[1, 0] = 1.0, -1.0
-        assert np.max(np.abs(lie_derivative_momentum_form(so3(), E3, Upsilon))) < 1e-14
-        assert np.max(np.abs(lie_derivative_momentum_form(so3(), E1, Upsilon))) > 0.5
+        assert np.max(np.abs(_momentum_form_derivative(ad_matrix(so3(), E3), Upsilon))) < 1e-14
+        assert np.max(np.abs(_momentum_form_derivative(ad_matrix(so3(), E1), Upsilon))) > 0.5
 
     def test_finite_difference(self, registry, rng):
         h = 1e-5
@@ -72,10 +83,10 @@ class TestLieDerivativeMomentumForm:
                 u = rng.normal(size=algebra.dim)
                 Upsilon = random_antisymmetric(rng, algebra.dim)
                 def conj(t):
-                    Ad_inv = ad_exp(algebra, u, -t)
+                    Ad_inv = _expm(-t * ad_matrix(algebra, u))
                     return Ad_inv @ Upsilon @ Ad_inv.T
                 fd = (conj(h) - conj(-h)) / (2 * h)
-                exact = lie_derivative_momentum_form(algebra, u, Upsilon)
+                exact = _momentum_form_derivative(ad_matrix(algebra, u), Upsilon)
                 assert np.max(np.abs(fd - exact)) < 1e-7
 
 
@@ -88,11 +99,11 @@ class TestStackedLieDerivatives:
             n = algebra.dim
             u = np.concatenate([np.eye(n), rng.normal(size=(6, n))])
             A = random_antisymmetric(rng, n)
-            for derivative in (lie_derivative_cocycle, lie_derivative_momentum_form):
-                stacked = derivative(algebra, u, A)
+            for derivative in (_cocycle_derivative, _momentum_form_derivative):
+                stacked = derivative(ad_matrix(algebra, u), A)
                 assert stacked.shape == (n + 6, n, n)
                 for row, value in zip(u, stacked):
-                    assert value.tobytes() == derivative(algebra, row, A).tobytes()
+                    assert value.tobytes() == derivative(ad_matrix(algebra, row), A).tobytes()
 
 
 class TestIsotropySubalgebra:
