@@ -54,6 +54,12 @@ def validate_algebra(f, tol: float = AXIOM_TOL) -> ValidationReport:
     return ValidationReport(anti, float(np.max(np.abs(jac))) if f.size else 0.0, tol)
 
 
+@functools.cache
+def _pair_index(n: int) -> np.ndarray:
+    """Read-only rows (a, b) of the pairs a < b; cached by N, which is all they depend on."""
+    return _read_only(np.array(np.triu_indices(n, 1)))
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """A finite-dimensional real Lie algebra in a fixed basis; read-only, its constants cached."""
@@ -62,22 +68,42 @@ class LieAlgebra:
     dim: int
     f: np.ndarray
     _f_flat: np.ndarray = field(init=False, repr=False, compare=False)  # f as N x N*N
+    _validation: ValidationReport = field(init=False, repr=False, compare=False)  # f's axioms
 
     def __post_init__(self):
-        f = _read_only(np.ascontiguousarray(np.asarray(self.f, dtype=float)))
+        f = _read_only(np.array(self.f, dtype=float))  # a copy: the caller's array stays writable
+        object.__setattr__(self, '_validation', validate_algebra(f))  # ShapeMismatch unless N^3
         object.__setattr__(self, 'f', f)
         object.__setattr__(self, '_f_flat', f.reshape(len(f), len(f) ** 2))
 
     @classmethod
     def from_structure_constants(cls, name: str, f) -> "LieAlgebra":
-        report = validate_algebra(f)
+        f = np.asarray(f, dtype=float)
+        algebra = cls(name, len(f) if f.ndim else 0, f)  # a scalar f fails the shape check
+        report = algebra._validation
         if not report.accepted:
             raise ValueError(
                 f"structure constants rejected: antisymmetry residual "
                 f"{report.antisymmetry_residual:.3e}, Jacobi residual "
                 f"{report.jacobi_residual:.3e} (tol {AXIOM_TOL:.1e})")
-        f = np.asarray(f, dtype=float)
-        return cls(name, f.shape[0], f)
+        return algebra
+
+    @functools.cached_property
+    def _minus_f(self) -> np.ndarray:
+        """-f as N x N*N, which the vector field contracts against."""
+        return _read_only(-self._f_flat)
+
+    @functools.cached_property
+    def _coboundary(self) -> np.ndarray:
+        """Matrix of xi -> delta1_scalar(xi) on the ordered-pair basis (a < b)."""
+        a, b = _pair_index(self.dim)
+        return _read_only(-self.f[:, a, b].T)
+
+    @functools.cached_property
+    def _cohomology_dims(self):
+        """cohomology_dimensions' value (cohomology imports this module, so not at the top)."""
+        from .cohomology import _cohomology_dimensions
+        return _cohomology_dimensions(self)
 
     @functools.cached_property
     def _killing_inv(self) -> np.ndarray | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -23,8 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import AXIOM_TOL, get_algebra, load_algebra, validate_algebra
-from .cohomology import _primitive, cocycle_residual, cohomology_dimensions, delta1_scalar
+from .algebra import AXIOM_TOL, get_algebra, load_algebra
+from .cohomology import _primitive, cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
 from .errors import DegenerateForm, InvalidInput, LieDeformError, NotExact, UpsilonPresent
 from .phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid, degeneracy,
@@ -140,7 +141,10 @@ def resolve_inertia(spec: str, n: int) -> InertiaTensor:
         data = json.load(fh)
     if isinstance(data, dict) and "I_inv" not in data:
         raise InvalidInput(f"--inertia: {spec}: missing key 'I_inv'")
-    I_inv = np.asarray(data["I_inv"] if isinstance(data, dict) else data, float)
+    try:
+        I_inv = np.asarray(data["I_inv"] if isinstance(data, dict) else data, float)
+    except (TypeError, ValueError):  # a string, a ragged list, an object
+        raise ValueError(f"--inertia: {spec}: expected a {n} x {n} matrix of numbers") from None
     if I_inv.shape != (n, n):
         raise ValueError(f"--inertia: expected a {n} x {n} matrix, got shape {I_inv.shape}")
     return InertiaTensor(I_inv)
@@ -166,7 +170,7 @@ def _emit(out: dict, payload, output: str | None):
 
 
 def cmd_validate(args, algebra) -> int:
-    report = validate_algebra(algebra.f, tol=args.tol)
+    report = dataclasses.replace(algebra._validation, tol=args.tol)
     _emit({"algebra": algebra.name, "dim": algebra.dim,
            "antisymmetry_residual": report.antisymmetry_residual,
            "jacobi_residual": report.jacobi_residual, "accepted": report.accepted},
@@ -181,7 +185,7 @@ def cmd_cohomology(args, algebra) -> int:
         xi = _primitive(algebra, structure.Theta)[0]
     except NotExact:
         xi = None
-    _emit({"algebra": algebra.name, "cocycle_residual": cocycle_residual(algebra, structure.Theta),
+    _emit({"algebra": algebra.name, "cocycle_residual": structure._residual,
            "exact": xi is not None, "xi": xi,
            "dims": {"Z2": dims.z2, "B2": dims.b2, "H2": dims.h2, "H1": dims.h1}},
           _structure_payload(structure), args.output)

@@ -14,12 +14,11 @@ permutation (a, m, n) -> (n, m, a); both vanish on the same cocycle set.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, _read_only, _require_finite, _transpose_residual
+from .algebra import LieAlgebra, _pair_index, _require_finite, _transpose_residual
 from .errors import NotACocycle, NotAntisymmetric, NotExact
 
 #: absolute cocycle-admission tolerance for integer-valued structure constants
@@ -28,6 +27,11 @@ ADMISSION_TOL_ABS = 1e-12
 ADMISSION_TOL_REL = 1e-9
 #: relative exactness threshold in solve_primitive
 EXACTNESS_TOL = 1e-9
+
+# np.linalg.lstsq's LAPACK gufunc (gelsd), without the wrapper that takes half of _primitive's
+# time.  Called as the wrapper calls it, so with its bytes: float64 loop, rcond eps * max(m, n),
+# its error state and handler, and xi zeroed at m = 0 pairs, where the gufunc leaves it unset.
+_lstsq = np.linalg._umath_linalg.lstsq
 
 
 def admission_tol(algebra: LieAlgebra, Theta):
@@ -95,7 +99,7 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
     """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error.
 
     The one admission rule: DeformedStructure, decide_grid and solve_primitive (the last
-    with Upsilon = 0) all apply it.
+    with Upsilon = 0) all apply it.  Returns each point's cocycle_residual.
     """
     n = algebra.dim
     for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
@@ -120,18 +124,7 @@ def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
         k = np.argmax(asymmetric[first])
         _reject_asymmetric(("Theta", "Upsilon")[k], pair[first, k], residual[first, k],
                            bound[first, k])
-
-
-@functools.cache
-def _pair_index(n: int) -> np.ndarray:
-    """Read-only rows (a, b) of the pairs a < b; cached by N, which is all they depend on."""
-    return _read_only(np.array(np.triu_indices(n, 1)))
-
-
-def _coboundary_matrix(algebra: LieAlgebra) -> np.ndarray:
-    """Matrix of xi -> delta1_scalar(xi) on the ordered-pair basis (a < b)."""
-    a, b = _pair_index(algebra.dim)
-    return -algebra.f[:, a, b].T
+    return res
 
 
 def solve_primitive(algebra: LieAlgebra, Theta):
@@ -151,9 +144,12 @@ def solve_primitive(algebra: LieAlgebra, Theta):
 def _primitive(algebra: LieAlgebra, Theta: np.ndarray):
     """solve_primitive of a float Theta already admitted as a cocycle, as DeformedStructure's is."""
     a, b = _pair_index(algebra.dim)
-    xi, _, rank, _ = np.linalg.lstsq(_coboundary_matrix(algebra), Theta[a, b], rcond=None)
-    residual = float(np.max(np.abs(Theta - delta1_scalar(algebra, xi)), initial=0.0))
-    scale = float(np.max(np.abs(Theta), initial=0.0))
+    A = algebra._coboundary
+    with np.errstate(call=np.linalg._linalg._raise_linalgerror_lstsq, all="ignore", invalid="call"):
+        xi, _, rank, _ = _lstsq(A, Theta[a, b, None], np.finfo(float).eps * max(A.shape))
+    xi = xi[:, 0] if len(A) else np.zeros(algebra.dim)  # m = 0 pairs: what the wrapper returns
+    residual = float(np.abs(Theta - delta1_scalar(algebra, xi)).max(initial=0.0))
+    scale = float(np.abs(Theta).max(initial=0.0))
     if residual > EXACTNESS_TOL * scale:
         raise NotExact(
             f"no primitive: residual {residual:.3e} vs scale {scale:.3e}",
@@ -170,11 +166,15 @@ class CohomologyDims:
 
 
 def cohomology_dimensions(algebra: LieAlgebra) -> CohomologyDims:
-    """Ranks of the degree-one and degree-two coboundary maps.
+    """Ranks of the degree-one and degree-two coboundary maps, computed once per algebra.
 
     H2 = Z2 - B2 on the antisymmetric pair basis; H1 = N - dim of the
     derived algebra (rank of the flattened bracket map).
     """
+    return algebra._cohomology_dims
+
+
+def _cohomology_dimensions(algebra: LieAlgebra) -> CohomologyDims:
     n = algebra.dim
     a, b = _pair_index(n)
     m = len(a)
@@ -182,6 +182,6 @@ def cohomology_dimensions(algebra: LieAlgebra) -> CohomologyDims:
     E = np.zeros((m, n, n))
     E[np.arange(m), a, b], E[np.arange(m), b, a] = 1.0, -1.0
     z2 = m - (int(np.linalg.matrix_rank(_delta2(algebra, E).reshape(m, -1))) if m else 0)
-    b2 = int(np.linalg.matrix_rank(_coboundary_matrix(algebra))) if m else 0
+    b2 = int(np.linalg.matrix_rank(algebra._coboundary)) if m else 0
     derived = int(np.linalg.matrix_rank(algebra._f_flat))
     return CohomologyDims(z2=z2, b2=b2, h2=z2 - b2, h1=n - derived)

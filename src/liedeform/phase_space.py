@@ -64,14 +64,16 @@ class DeformedStructure:
     """A Lie algebra together with admitted deformations Theta and Upsilon.
 
     Theta and Upsilon (zero if left out) are read-only copies of the caller's arrays,
-    admitted here, once, by ``cohomology._admit``: Theta's primitive is ``cohomology._primitive``.
-    Computed once too: ``upsilon_zero`` (Upsilon has no nonzero entry), I_N, -f (N x N^2), -Theta.
+    admitted here, once, by ``cohomology._admit``, whose cocycle_residual of Theta is kept as
+    ``_residual``; Theta's primitive is ``cohomology._primitive``.  Kept too: ``upsilon_zero``
+    (Upsilon has no nonzero entry), I_N, the algebra's -f (N x N^2) and -Theta.
     """
 
     algebra: LieAlgebra
     Theta: np.ndarray = None
     Upsilon: np.ndarray = None
     upsilon_zero: bool = field(init=False)
+    _residual: np.float64 = field(init=False, repr=False)
     _eye: np.ndarray = field(init=False, repr=False)
     _minus_f: np.ndarray = field(init=False, repr=False)
     _minus_Theta: np.ndarray = field(init=False, repr=False)
@@ -80,9 +82,9 @@ class DeformedStructure:
         n = self.algebra.dim
         Theta = np.zeros((n, n)) if self.Theta is None else np.array(self.Theta, float)
         Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.array(self.Upsilon, float)
-        _admit(self.algebra, Theta[None], Upsilon[None])
+        object.__setattr__(self, '_residual', _admit(self.algebra, Theta[None], Upsilon[None])[0])
         for name, A in (('Theta', Theta), ('Upsilon', Upsilon), ('_eye', np.eye(n)),
-                        ('_minus_f', -self.algebra._f_flat), ('_minus_Theta', -Theta)):
+                        ('_minus_f', self.algebra._minus_f), ('_minus_Theta', -Theta)):
             object.__setattr__(self, name, _read_only(A))
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
 

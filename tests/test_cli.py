@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import liedeform
-from liedeform.algebra import so3
+from liedeform.algebra import get_algebra, so3
 from liedeform import cli, cohomology, phase_space
 from liedeform.cli import main, parse_axis
 
@@ -115,13 +115,15 @@ class TestCohomology:
         assert report["xi"] is None
 
     def test_admits_theta_once(self, monkeypatch, tmp_path):
-        # delta2 runs at admission, on cohomology_dimensions' unit cochains and for the
-        # reported residual; the primitive is solved without admitting Theta again
+        # delta2 runs at admission only: the reported residual is admission's, the dims are
+        # so3's, computed once (here, before counting, so no earlier test decides the count),
+        # and the primitive is solved without admitting Theta again
+        cohomology.cohomology_dimensions(get_algebra("so3"))
         calls = count_delta2(monkeypatch)
         out = tmp_path / "report.json"
         assert run(["cohomology", "--algebra", "so3", "--xi", "0,0,1", "-o", out]) == 0
         assert read_json(out)["exact"]
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 class TestOmega:
@@ -360,6 +362,19 @@ def test_wrong_matrix_shape_exit_2(tmp_path, capsys, argv, content, message):
     path.write_text(json.dumps(content))
     assert run([argv[0], "--algebra", "so3", *argv[1:], path, "-o", out]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [SIMULATE + ["--inertia"], ["isotropy", "--inertia"]])
+@pytest.mark.parametrize("content", ["so3", {"I_inv": "x"}, [[1, 0, 0], [0, 1], [0, 0, 1]],
+                                     {"I_inv": {"a": 1}}, [[1, 0, 0], [0, "x", 0], [0, 0, 1]]])
+def test_inertia_file_that_is_not_numbers_exit_2(tmp_path, capsys, argv, content):
+    # a string, a ragged list or an object names the option and the file, not numpy's float()
+    path, out = tmp_path / "inertia.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    assert run([argv[0], "--algebra", "so3", *argv[1:], path, "-o", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --inertia: {path}: expected a 3 x 3 matrix of numbers\n")
     assert not out.exists()
 
 
