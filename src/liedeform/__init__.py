@@ -40,7 +40,6 @@ from .errors import (
     NotExact,
     ShapeMismatch,
     StepRejected,
-    UpsilonPresent,
 )
 from .phase_space import (
     DeformedStructure,

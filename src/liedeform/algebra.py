@@ -65,7 +65,7 @@ class LieAlgebra:
     """A finite-dimensional real Lie algebra in a fixed basis; read-only, its constants cached."""
 
     name: str
-    dim: int
+    dim: int = field(init=False)  # len(f)
     f: np.ndarray
     _f_flat: np.ndarray = field(init=False, repr=False, compare=False)  # f as N x N*N
     _validation: ValidationReport = field(init=False, repr=False, compare=False)  # f's axioms
@@ -73,13 +73,12 @@ class LieAlgebra:
     def __post_init__(self):
         f = _read_only(np.array(self.f, dtype=float))  # a copy: the caller's array stays writable
         object.__setattr__(self, '_validation', validate_algebra(f))  # ShapeMismatch unless N^3
-        object.__setattr__(self, 'f', f)
-        object.__setattr__(self, '_f_flat', f.reshape(len(f), len(f) ** 2))
+        for name, value in (('f', f), ('dim', len(f)), ('_f_flat', f.reshape(len(f), len(f) ** 2))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_structure_constants(cls, name: str, f) -> "LieAlgebra":
-        f = np.asarray(f, dtype=float)
-        algebra = cls(name, len(f) if f.ndim else 0, f)  # a scalar f fails the shape check
+        algebra = cls(name, f)
         report = algebra._validation
         if not report.accepted:
             raise ValueError(

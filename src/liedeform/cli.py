@@ -25,11 +25,10 @@ import numpy as np
 
 from . import __version__
 from .algebra import AXIOM_TOL, get_algebra, load_algebra
-from .cohomology import _primitive, cohomology_dimensions, delta1_scalar
+from .cohomology import cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
-from .errors import DegenerateForm, InvalidInput, LieDeformError, NotExact, UpsilonPresent
-from .phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid, degeneracy,
-                          load_deformation)
+from .errors import DegenerateForm, InvalidInput, LieDeformError
+from .phase_space import RANK_TOL, DeformedStructure, decide_grid, degeneracy, load_deformation
 from .symmetry import isotropy_subalgebra
 
 EXIT_OK = 0
@@ -181,12 +180,8 @@ def cmd_validate(args, algebra) -> int:
 def cmd_cohomology(args, algebra) -> int:
     structure = resolve_structure(args, algebra)
     dims = cohomology_dimensions(algebra)
-    try:
-        xi = _primitive(algebra, structure.Theta)[0]
-    except NotExact:
-        xi = None
     _emit({"algebra": algebra.name, "cocycle_residual": structure._residual,
-           "exact": xi is not None, "xi": xi,
+           "exact": structure._xi is not None, "xi": structure._xi,
            "dims": {"Z2": dims.z2, "B2": dims.b2, "H2": dims.h2, "H1": dims.h1}},
           _structure_payload(structure), args.output)
     return EXIT_OK
@@ -196,12 +191,8 @@ def cmd_omega(args, algebra) -> int:
     structure = resolve_structure(args, algebra)
     pi = parse_vector(args.pi, algebra.dim, "--pi") if args.pi else np.zeros(algebra.dim)
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
-    try:
-        darboux_xi = darboux_shift(structure, pi)[1]
-    except (UpsilonPresent, NotExact):
-        darboux_xi = None
     _emit({"algebra": algebra.name, "rank": report.rank, "nullity": report.nullity,
-           "kernel": report.kernel, "poisson": report.poisson, "darboux_xi": darboux_xi},
+           "kernel": report.kernel, "poisson": report.poisson, "darboux_xi": structure._xi},
           {**_structure_payload(structure), "pi": pi}, args.output)
     return EXIT_OK
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _expm, _require_finite, _transpose_residual, get_algebra, is_semisimple
-from .cohomology import _primitive
-from .errors import DegenerateForm, NotExact, StepRejected
+from .errors import DegenerateForm, StepRejected
 from .phase_space import DeformedStructure, _nullity, lie_poisson_block  # noqa: F401 re-export
 
 #: ||C Upsilon||_F^2 at or below this certifies K = I + C Upsilon nondegenerate: every
@@ -127,16 +126,14 @@ class Trajectory:
 def _casimir_monitor(structure: DeformedStructure):
     """Evaluator of the shifted quadratic Casimir on a (K, N) stack of momenta, or None.
 
-    Requires a semisimple algebra, Upsilon = 0 and exact Theta; the conserved
+    Requires Upsilon = 0, a semisimple algebra and exact Theta, tested in that order so that
+    Theta's primitive ``structure._xi`` is solved only where the first two hold; the conserved
     quantity is then the inverse-Killing quadratic of sigma = pi - xi.
     """
     algebra = structure.algebra
-    if not structure.upsilon_zero or not is_semisimple(algebra):
+    if not structure.upsilon_zero or not is_semisimple(algebra) or structure._xi is None:
         return None
-    try:
-        xi, _, _ = _primitive(algebra, structure.Theta)
-    except NotExact:
-        return None
+    xi = structure._xi
 
     def monitor(pis):
         sigma = pis - xi

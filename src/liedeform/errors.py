@@ -36,10 +36,6 @@ class NotExact(LieDeformError):
         self.residual = residual
 
 
-class UpsilonPresent(LieDeformError):
-    """Operation requires the momentum-sector deformation to vanish."""
-
-
 class DegenerateForm(LieDeformError):
     """The two-form is degenerate at the requested phase point.
 

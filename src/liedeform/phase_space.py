@@ -21,13 +21,14 @@ every singular value of K lies in [1 - 0.9, 1 + 0.9] = [0.1, 1.9] and K and M ar
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import LieAlgebra, _load_object, _read_only, _require_finite
 from .cohomology import _admit, _primitive, delta1_scalar
-from .errors import DegenerateForm, UpsilonPresent
+from .errors import DegenerateForm, NotExact, ShapeMismatch
 
 #: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
 RANK_TOL = 1e-10
@@ -65,8 +66,8 @@ class DeformedStructure:
 
     Theta and Upsilon (zero if left out) are read-only copies of the caller's arrays,
     admitted here, once, by ``cohomology._admit``, whose cocycle_residual of Theta is kept as
-    ``_residual``; Theta's primitive is ``cohomology._primitive``.  Kept too: ``upsilon_zero``
-    (Upsilon has no nonzero entry), I_N, the algebra's -f (N x N^2) and -Theta.
+    ``_residual``.  Kept too: ``upsilon_zero`` (Upsilon has no nonzero entry), I_N, the
+    algebra's -f (N x N^2), -Theta, and ``_xi``, solved on first read.
     """
 
     algebra: LieAlgebra
@@ -87,6 +88,14 @@ class DeformedStructure:
                         ('_minus_f', self.algebra._minus_f), ('_minus_Theta', -Theta)):
             object.__setattr__(self, name, _read_only(A))
         object.__setattr__(self, 'upsilon_zero', not Upsilon.any())
+
+    @functools.cached_property
+    def _xi(self) -> np.ndarray | None:
+        """Theta's primitive (``cohomology._primitive``), read-only; None where Theta is not exact."""
+        try:
+            return _read_only(_primitive(self.algebra, self.Theta)[0])
+        except NotExact:
+            return None
 
 
 def lie_poisson_block(structure: DeformedStructure, pi) -> np.ndarray:
@@ -164,23 +173,30 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi,
 
 
 def darboux_shift(structure: DeformedStructure, pi):
-    """Absorb an exact Theta into a momentum shift: returns (pi - xi, xi).
+    """Absorb an exact Theta into a momentum shift: returns (pi - xi, xi), xi = ``_xi``.
 
-    Requires Upsilon = 0.  After the shift the Lie-Poisson block satisfies
-    C_Theta(pi) = C_0(pi - xi) entrywise.
+    C_Theta(pi) = C_0(pi - xi) entrywise, so M_{Theta,Upsilon}(pi) = M_{0,Upsilon}(pi - xi)
+    for every Upsilon.  Raises NotExact, with its xi and residual, where Theta is not exact.
     """
-    if not structure.upsilon_zero:
-        raise UpsilonPresent("Darboux shift applies only with Upsilon = 0")
-    xi, _, _ = _primitive(structure.algebra, structure.Theta)
-    return np.asarray(pi, float) - xi, xi
+    if structure._xi is None:
+        _primitive(structure.algebra, structure.Theta)  # raises NotExact
+    return np.asarray(pi, float) - structure._xi, structure._xi
 
 
 def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:
     """Load a deformation spec {"Theta":, "Upsilon":, "xi":} and admit it.
 
-    A null Theta together with a non-null xi builds the coboundary of xi.
+    A null Theta together with a non-null xi builds the coboundary of xi.  ShapeMismatch names
+    a key whose value is not an N x N (Theta, Upsilon) or N (xi) array of numbers.
     """
-    data = _load_object(path)
+    data, n = _load_object(path), algebra.dim
+    for key, shape in (("Theta", (n, n)), ("Upsilon", (n, n)), ("xi", (n,))):
+        try:  # a string, a ragged list or an object fails the conversion
+            ok = data.get(key) is None or np.asarray(data[key], float).shape == shape
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ShapeMismatch(f"{path}: {key!r} must be a {shape} array of numbers")
     Theta = data.get("Theta")
     if Theta is None and data.get("xi") is not None:
         Theta = delta1_scalar(algebra, data["xi"])

@@ -38,6 +38,17 @@ class TestValidation:
         with pytest.raises(ShapeMismatch):
             validate_algebra(np.zeros((3, 3, 2)))
 
+    def test_dim_is_derived_from_f(self, registry):
+        for algebra in registry:
+            assert algebra.dim == len(algebra.f), algebra.name
+        algebra = LieAlgebra("so3 copy", so3().f)  # no dim to contradict f
+        assert algebra.dim == 3 and np.array_equal(algebra.f, so3().f)
+        for scalar in (1.0, np.float64(0.0)):
+            with pytest.raises(ShapeMismatch):
+                LieAlgebra("scalar", scalar)
+            with pytest.raises(ShapeMismatch):
+                LieAlgebra.from_structure_constants("scalar", scalar)
+
     def test_registry_axioms(self, registry):
         for algebra in registry:
             report = validate_algebra(algebra.f)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ import liedeform
 from liedeform.algebra import get_algebra, so3
 from liedeform import cli, cohomology, phase_space
 from liedeform.cli import main, parse_axis
+from liedeform.errors import LieDeformError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(args):
@@ -157,6 +161,25 @@ class TestOmega:
                     "--pi", "0,0,1", "-o", out]) == 0
         report = read_json(out)
         assert np.allclose(report["darboux_xi"], [0.0, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("deformation", [
+        GOLDEN / "so3-upsilon.json",
+        {"Theta": cohomology.delta1_scalar(so3(), [0.5, -1.0, 2.0]).tolist(),
+         "Upsilon": [[0.0, 0.3, -0.2], [-0.3, 0.0, 0.7], [0.2, -0.7, 0.0]]},
+    ])
+    def test_darboux_xi_is_cohomology_xi_with_upsilon(self, tmp_path, deformation):
+        # an exact Theta is shifted away whatever Upsilon is: omega reports the xi cohomology does
+        if isinstance(deformation, dict):
+            path = tmp_path / "deformation.json"
+            path.write_text(json.dumps(deformation))
+            deformation = path
+        reports = {}
+        for command in ("omega", "cohomology"):
+            out = tmp_path / f"{command}.json"
+            assert run([command, "--algebra", "so3", "--deformation", deformation, "-o", out]) == 0
+            reports[command] = read_json(out)
+        assert reports["cohomology"]["exact"]
+        assert reports["omega"]["darboux_xi"] == reports["cohomology"]["xi"]
 
     def test_non_cocycle_exit_2(self, tmp_path):
         f = np.zeros((4, 4, 4))
@@ -348,6 +371,25 @@ def test_non_finite_momentum_exit_2(tmp_path, capsys, argv, name, bad):
 SIMULATE = ["simulate", "--pi0", "1,0,0", "--T", "1", "--dt", "0.1"]
 
 
+@pytest.mark.parametrize("content, key, shape", [
+    ({"xi": [1, 2]}, "xi", (3,)),
+    ({"xi": "abc"}, "xi", (3,)),
+    ({"Theta": "x"}, "Theta", (3, 3)),
+    ({"Upsilon": "x"}, "Upsilon", (3, 3)),
+    ({"Upsilon": [[0, 1, 0], [-1, 0, "x"], [0, 0, 0]]}, "Upsilon", (3, 3)),
+])
+def test_deformation_value_that_is_not_numbers_exit_2(tmp_path, capsys, content, key, shape):
+    # the file and the key are named, by a toolkit error that is not a bare ValueError
+    path, out = tmp_path / "deformation.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    assert run(["omega", "--algebra", "so3", "--deformation", path, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {key!r} must be a {shape} array of numbers\n"
+    assert not out.exists()
+    with pytest.raises(LieDeformError) as info:
+        phase_space.load_deformation(path, so3())
+    assert not isinstance(info.value, ValueError)
+
+
 @pytest.mark.parametrize("argv, content, message", [
     (SIMULATE + ["--inertia"], [[1, 0], [0, 1]],
      "--inertia: expected a 3 x 3 matrix, got shape (2, 2)"),
@@ -363,6 +405,25 @@ def test_wrong_matrix_shape_exit_2(tmp_path, capsys, argv, content, message):
     assert run([argv[0], "--algebra", "so3", *argv[1:], path, "-o", out]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_inertia_file_gives_the_bytes_of_the_diagonal_option(tmp_path):
+    # a valid --inertia file, as an object or as a bare list, reads as diag:1,0.5,0.25 does
+    matrix = [[1, 0, 0], [0, 0.5, 0], [0, 0, 0.25]]
+    specs = {"diag": "diag:1,0.5,0.25"}
+    for name, content in (("object", {"I_inv": matrix}), ("list", matrix)):
+        specs[name] = tmp_path / f"{name}.json"
+        specs[name].write_text(json.dumps(content))
+    outputs = {}
+    for name, spec in specs.items():
+        files = [tmp_path / f"{name}.{ext}" for ext in ("csv", "summary.json", "isotropy.json")]
+        assert run(["simulate", "--algebra", "so3", "--xi", "0,0,1", "--inertia", spec,
+                    "--pi0", "1,0.1,0.2", "--T", 0.5, "--dt", 0.05,
+                    "--output", files[0], "--summary", files[1]]) == 0
+        assert run(["isotropy", "--algebra", "so3", "--xi", "0,0,1", "--inertia", spec,
+                    "-o", files[2]]) == 0
+        outputs[name] = [path.read_bytes() for path in files]
+    assert outputs["object"] == outputs["list"] == outputs["diag"]
 
 
 @pytest.mark.parametrize("argv", [SIMULATE + ["--inertia"], ["isotropy", "--inertia"]])

@@ -5,8 +5,7 @@ from liedeform import cohomology, phase_space
 from liedeform.algebra import _transpose_residual, abelian, heisenberg, se2, sl2r, so3
 from liedeform.cohomology import cocycle_residual, delta1_scalar, solve_primitive
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
-from liedeform.errors import (DegenerateForm, NotACocycle, NotAntisymmetric,
-                              NotExact, UpsilonPresent)
+from liedeform.errors import DegenerateForm, NotACocycle, NotAntisymmetric, NotExact
 from liedeform.phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid,
                                    degeneracy, lie_poisson_block, load_deformation,
                                    omega_matrix, poisson_tensor)
@@ -420,13 +419,25 @@ class TestDarbouxShift:
     def test_heisenberg_not_exact(self):
         Theta = np.zeros((3, 3))
         Theta[0, 2], Theta[2, 0] = 1.0, -1.0
-        S = DeformedStructure(heisenberg(), Theta)
-        with pytest.raises(NotExact):
-            darboux_shift(S, np.zeros(3))
+        for Upsilon in (None, Theta):  # NotExact, with its xi and residual, whatever Upsilon is
+            S = DeformedStructure(heisenberg(), Theta, Upsilon)
+            with pytest.raises(NotExact) as info:
+                darboux_shift(S, np.zeros(3))
+            assert S._xi is None
+            assert info.value.xi.shape == (3,) and info.value.residual > 0
 
-    def test_upsilon_present(self):
-        with pytest.raises(UpsilonPresent):
-            darboux_shift(fg_structure(0.5, 0.5), np.zeros(2))
+    def test_upsilon_present(self, registry, rng):
+        # the shift moves only C(pi): M_{delta xi, Upsilon}(pi) = M_{0, Upsilon}(pi - xi)
+        for algebra in registry:
+            for _ in range(20):
+                xi, pi = rng.normal(size=(2, algebra.dim))
+                Upsilon = random_antisymmetric(rng, algebra.dim)
+                S = DeformedStructure(algebra, delta1_scalar(algebra, xi), Upsilon)
+                pi_shifted, xi_found = darboux_shift(S, pi)
+                assert np.array_equal(pi_shifted, pi - xi_found)
+                M = omega_matrix(S, pi)
+                shifted = omega_matrix(DeformedStructure(algebra, None, Upsilon), pi_shifted)
+                assert np.max(np.abs(M - shifted)) <= 1e-12 * np.max(np.abs(M))
 
     def test_darboux_identity_random(self, rng):
         # C_Theta(pi) = C_0(pi - xi) entrywise for 100 random (xi, pi)
