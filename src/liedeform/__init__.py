@@ -34,6 +34,7 @@ from .dynamics import (
 from .errors import (
     DegenerateForm,
     InvalidInput,
+    InvalidValue,
     LieDeformError,
     NotACocycle,
     NotAntisymmetric,

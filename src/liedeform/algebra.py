@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeMismatch
+from .errors import InvalidInput, InvalidValue, ShapeMismatch
 
 #: acceptance threshold for antisymmetry / Jacobi residuals
 AXIOM_TOL = 1e-12
@@ -81,7 +81,7 @@ class LieAlgebra:
         algebra = cls(name, f)
         report = algebra._validation
         if not report.accepted:
-            raise ValueError(
+            raise InvalidValue(
                 f"structure constants rejected: antisymmetry residual "
                 f"{report.antisymmetry_residual:.3e}, Jacobi residual "
                 f"{report.jacobi_residual:.3e} (tol {AXIOM_TOL:.1e})")
@@ -127,7 +127,7 @@ def _read_only(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _require_finite(name: str, A, error=ValueError):
+def _require_finite(name: str, A, error=InvalidValue):
     """Raise ``error`` naming the first non-finite entry of A, if A has one."""
     if not np.isfinite(A).all():  # argwhere only on failure: the check runs on every input
         bad = np.argwhere(~np.isfinite(A)).tolist()
@@ -274,7 +274,7 @@ def get_algebra(name: str) -> LieAlgebra:
     if name.startswith("abelian"):
         n = name[len("abelian"):]
         if not (n.isdecimal() and int(n) > 0):
-            raise ValueError(f"registry algebra {name!r}: abelian<N> needs a positive integer N")
+            raise InvalidValue(f"registry algebra {name!r}: abelian<N> needs a positive integer N")
         return abelian(int(n))
     raise InvalidInput(f"unknown registry algebra {name!r}; "
                        f"known: {sorted(_REGISTRY) + ['abelian<N>']}")
@@ -300,7 +300,10 @@ def load_algebra(path) -> LieAlgebra:
     for key in ("name", "dim", "f"):
         if key not in data:
             raise InvalidInput(f"{path}: missing key {key!r}")
-    f = np.asarray(data["f"], dtype=float)
+    try:  # a string, a ragged list or an object fails the conversion
+        f = np.asarray(data["f"], dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"{path}: 'f' must be an array of numbers") from None
     if f.shape != (data["dim"],) * 3:
         raise ShapeMismatch(f"{path}: declared dim {data['dim']} but f has shape {f.shape}")
     return LieAlgebra.from_structure_constants(data["name"], f)

@@ -27,7 +27,7 @@ from . import __version__
 from .algebra import AXIOM_TOL, get_algebra, load_algebra
 from .cohomology import cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
-from .errors import DegenerateForm, InvalidInput, LieDeformError
+from .errors import DegenerateForm, InvalidInput, InvalidValue, LieDeformError
 from .phase_space import RANK_TOL, DeformedStructure, decide_grid, degeneracy, load_deformation
 from .symmetry import isotropy_subalgebra
 
@@ -111,9 +111,9 @@ def parse_vector(text: str, n: int, option: str) -> np.ndarray:
         try:
             values.append(float(tok))
         except ValueError:
-            raise ValueError(f"{option}: {tok!r} is not a number") from None
+            raise InvalidValue(f"{option}: {tok!r} is not a number") from None
     if len(values) != n:
-        raise ValueError(f"{option}: expected {n} components, got {len(values)}")
+        raise InvalidValue(f"{option}: expected {n} components, got {len(values)}")
     return np.array(values)
 
 
@@ -123,6 +123,8 @@ def resolve_algebra(spec: str):
 
 
 def resolve_structure(args, algebra) -> DeformedStructure:
+    if args.deformation and args.xi:
+        raise InvalidValue("--deformation and --xi both give Theta; give one of them")
     if args.deformation:
         return load_deformation(args.deformation, algebra)
     if args.xi:
@@ -143,9 +145,9 @@ def resolve_inertia(spec: str, n: int) -> InertiaTensor:
     try:
         I_inv = np.asarray(data["I_inv"] if isinstance(data, dict) else data, float)
     except (TypeError, ValueError):  # a string, a ragged list, an object
-        raise ValueError(f"--inertia: {spec}: expected a {n} x {n} matrix of numbers") from None
+        raise InvalidValue(f"--inertia: {spec}: expected a {n} x {n} matrix of numbers") from None
     if I_inv.shape != (n, n):
-        raise ValueError(f"--inertia: expected a {n} x {n} matrix, got shape {I_inv.shape}")
+        raise InvalidValue(f"--inertia: expected a {n} x {n} matrix, got shape {I_inv.shape}")
     return InertiaTensor(I_inv)
 
 
@@ -245,14 +247,20 @@ def parse_axis(text: str):
         if not np.isfinite(np.append(values, (start, stop))).all():
             raise ValueError("start, stop and every point must be finite")
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad axis spec {text!r}: {exc}") from exc
+        raise InvalidValue(f"bad axis spec {text!r}: {exc}") from exc
     if kind not in ("theta", "upsilon", "xi"):
-        raise ValueError(f"bad axis kind {kind!r} in {text!r}")
+        raise InvalidValue(f"bad axis kind {kind!r} in {text!r}")
     if kind == "xi" and len(indices) != 1:
-        raise ValueError(f"xi axis takes one index, got {indices}")
+        raise InvalidValue(f"xi axis takes one index, got {indices}")
     if kind != "xi" and len(indices) != 2:
-        raise ValueError(f"{kind} axis takes an index pair, got {indices}")
+        raise InvalidValue(f"{kind} axis takes an index pair, got {indices}")
     return kind, indices, values
+
+
+def _rows(shape, picked, count):
+    """Each point of the row-major grid ``shape``: its row in the grid of the axes ``picked``."""
+    sub = [m if k in picked else 1 for k, m in enumerate(shape)]  # that grid has count rows
+    return (np.arange(count).reshape(sub) + np.zeros(shape, int)).ravel()
 
 
 def cmd_sweep(args, algebra) -> int:
@@ -262,23 +270,30 @@ def cmd_sweep(args, algebra) -> int:
     n = algebra.dim
     for kind, indices, _ in axes:
         if not all(0 <= i < n for i in indices) or len(set(indices)) < len(indices):
-            raise ValueError(f"{kind} axis indices {indices} must be distinct and in 0..{n - 1}")
+            raise InvalidValue(f"{kind} axis indices {indices} must be distinct and in 0..{n - 1}")
 
-    # one column per axis, grid points in row-major order (last axis fastest)
-    columns = [g.ravel() for g in np.meshgrid(*[values for _, _, values in axes], indexing="ij")]
-    size = int(np.prod([len(values) for _, _, values in axes]))
-    Theta, Upsilon = (np.repeat(A[None], size, axis=0) for A in (base.Theta, base.Upsilon))
-    xi = np.zeros((size, n))
-    for (kind, indices, _), column in zip(axes, columns):
-        if kind == "xi":
-            xi[:, indices[0]] = column
-        else:
-            i, j = indices
-            target = Theta if kind == "theta" else Upsilon
-            target[:, i, j], target[:, j, i] = column, -column
-    if any(kind == "xi" for kind, _, _ in axes):
-        Theta = Theta + delta1_scalar(algebra, xi)
-    report = decide_grid(algebra, Theta, Upsilon, pi, rank_tol=args.rank_tol)
+    # grid points in row-major order (last axis fastest); Theta is built once per point of the
+    # theta and xi axes' own grid, Upsilon of the upsilon axes', and each axis value's text once
+    shape = [len(values) for _, _, values in axes]
+    size = int(np.prod(shape))
+    picks = [[k for k, (kind, _, _) in enumerate(axes) if kind in kinds]
+             for kinds in (("theta", "xi"), ("upsilon",))]
+    stacks = []
+    for A, picked in zip((base.Theta, base.Upsilon), picks):
+        columns = [g.ravel() for g in np.meshgrid(*[axes[k][2] for k in picked], indexing="ij")]
+        A = np.repeat(A[None], int(np.prod([shape[k] for k in picked])), axis=0)
+        xi = np.zeros((len(A), n))
+        for (kind, indices, _), column in zip([axes[k] for k in picked], columns):
+            if kind == "xi":
+                xi[:, indices[0]] = column
+            else:
+                i, j = indices
+                A[:, i, j], A[:, j, i] = column, -column
+        if any(axes[k][0] == "xi" for k in picked):
+            A = A + delta1_scalar(algebra, xi)
+        stacks.append(A)
+    report = decide_grid(algebra, *stacks, pi, rank_tol=args.rank_tol,
+                         rows=[_rows(shape, picked, len(A)) for picked, A in zip(picks, stacks)])
 
     # the two Poisson cells as one string: both empty where degenerate, and everywhere if N < 2
     brackets = np.full(size, ",", dtype=object)
@@ -286,11 +301,13 @@ def cmd_sweep(args, algebra) -> int:
         Pi = report.poisson
         brackets[report.nullity == 0] = ["%.17g,%.17g" % qp for qp in
                                          zip(Pi[:, 0, 1].tolist(), Pi[:, n, n + 1].tolist())]
+    text = [np.array(["%.17g" % v for v in values.tolist()], dtype=object) for *_, values in axes]
+    cells = [column[_rows(shape, [k], len(column))] for k, column in enumerate(text)]
     header = (["index"] + [f"{kind}_" + "_".join(map(str, indices)) for kind, indices, _ in axes]
               + ["rank", "nullity", "poisson_qq", "poisson_pp"])
-    _write_csv(args.output, header, [np.arange(size), *columns, report.rank, report.nullity,
+    _write_csv(args.output, header, [np.arange(size), *cells, report.rank, report.nullity,
                                      brackets],
-               "%d," + "%.17g," * len(columns) + "%d,%d,%s\r\n")
+               "%d," + "%s," * len(cells) + "%d,%d,%s\r\n")
     return EXIT_OK
 
 
@@ -391,7 +408,7 @@ def main(argv=None) -> int:
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (LieDeformError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (LieDeformError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

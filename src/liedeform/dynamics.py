@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _expm, _require_finite, _transpose_residual, get_algebra, is_semisimple
-from .errors import DegenerateForm, StepRejected
-from .phase_space import DeformedStructure, _nullity, lie_poisson_block  # noqa: F401 re-export
-
-#: ||C Upsilon||_F^2 at or below this certifies K = I + C Upsilon nondegenerate: every
-#: singular value of K then lies in [0.1, 1.9], far above _nullity's cut RANK_TOL * 1.9
-_CERTIFIED_SQ = 0.81
+from .errors import DegenerateForm, InvalidValue, StepRejected
+from .phase_space import (_CERTIFIED_SQ, DeformedStructure, _nullity,  # noqa: F401 re-export
+                          lie_poisson_block)
 
 # The LAPACK gufunc (LU with partial pivoting) that np.linalg.solve calls, without that
 # wrapper's array wrapping, type resolution and errstate: a third of an Upsilon != 0 step.
@@ -50,14 +47,14 @@ class InertiaTensor:
     def __post_init__(self):
         I_inv = np.asarray(self.I_inv, dtype=float)
         if I_inv.ndim != 2 or I_inv.shape[0] != I_inv.shape[1]:
-            raise ValueError(f"inertia must be square, got shape {I_inv.shape}")
+            raise InvalidValue(f"inertia must be square, got shape {I_inv.shape}")
         _require_finite("inertia", I_inv)
         residual, bound = _transpose_residual(I_inv, symmetric=True)
         if not residual <= bound:
-            raise ValueError("inertia must be symmetric")
+            raise InvalidValue("inertia must be symmetric")
         # not (x > 0): NaN fails the comparison, so it is rejected
         if not np.min(np.linalg.eigvalsh(I_inv)) > 0:
-            raise ValueError("inertia must be positive definite")
+            raise InvalidValue("inertia must be positive definite")
         I_inv.setflags(write=False)
         object.__setattr__(self, 'I_inv', I_inv)
 
@@ -154,12 +151,12 @@ def _step_count(T: float, dt: float) -> int:
     """Number of RK4 steps of size dt up to time T; rejects a dt or T no run can take."""
     T, dt = float(T), float(dt)
     if not 0.0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        raise InvalidValue(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 <= T < np.inf:
-        raise ValueError(f"T must be non-negative and finite, got {T!r}")
+        raise InvalidValue(f"T must be non-negative and finite, got {T!r}")
     ratio = T / dt
     if not ratio < np.inf:  # a subnormal dt overflows T / dt
-        raise ValueError(f"T / dt must be finite, got T = {T!r}, dt = {dt!r}")
+        raise InvalidValue(f"T / dt must be finite, got T = {T!r}, dt = {dt!r}")
     return int(round(ratio))
 
 
@@ -208,7 +205,7 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
     beyond the trajectory does not grow with the run.
 
     A mid-run degeneracy returns the partial trajectory with ``degenerate_at`` set.  A
-    non-finite pi0 raises ValueError.  A non-finite momentum or group element raises
+    non-finite pi0 raises InvalidValue.  A non-finite momentum or group element raises
     StepRejected naming the first time at which it occurs, and so does a monitor that
     overflows on finite states.
     """
@@ -241,6 +238,9 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
                     e4, k4 = hamiltonian_vector_field(structure, inertia, y + full * k3)
                 except DegenerateForm:
                     degenerate_at = float(times[k])
+                    break
+                except np.linalg.LinAlgError:  # _nullity's SVD of a K that is not finite
+                    rejected = f"non-finite K = I + C Upsilon at t = {times[k]:.6g}"
                     break
                 y_list = [p + sixth * (((q1 + 2.0 * q2) + 2.0 * q3) + q4) for p, q1, q2, q3, q4
                           in zip(y.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())]
@@ -284,7 +284,7 @@ def euler_reference(inertia: InertiaTensor, pi0, T: float, dt: float) -> Traject
     """Independent rigid-body oracle on so(3): RK4 on pidot = pi x (I_inv pi)."""
     pi = np.asarray(pi0, float)
     if pi.shape != (3,):
-        raise ValueError("the rigid-body oracle is three-dimensional")
+        raise InvalidValue("the rigid-body oracle is three-dimensional")
     steps = _step_count(T, dt)
     times = dt * np.arange(steps + 1)
 

@@ -12,6 +12,13 @@ class InvalidInput(LieDeformError, KeyError):
     """
 
 
+class InvalidValue(LieDeformError, ValueError):
+    """An input value is malformed, out of range or given twice.
+
+    A ValueError too, so callers that catch ValueError keep working.
+    """
+
+
 class ShapeMismatch(LieDeformError):
     """Input array does not have the required shape."""
 

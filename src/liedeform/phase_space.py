@@ -18,6 +18,8 @@ extracts a kernel basis at points already decided degenerate.
 
 Certificate: if ||C Upsilon||_F <= 0.9, then ||C Upsilon||_2 <= 0.9, so by Weyl's inequality
 every singular value of K lies in [1 - 0.9, 1 + 0.9] = [0.1, 1.9] and K and M are nondegenerate.
+Two readers skip the SVD where it holds: the vector field, at RANK_TOL, and ``decide_grid``
+wherever 1.9 rank_tol < 0.1, so that the cut lies below every singular value of K.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _load_object, _read_only, _require_finite
 from .cohomology import _admit, _primitive, delta1_scalar
-from .errors import DegenerateForm, NotExact, ShapeMismatch
+from .errors import DegenerateForm, InvalidValue, LieDeformError, NotExact, ShapeMismatch
 
 #: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
 RANK_TOL = 1e-10
@@ -43,14 +45,20 @@ def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
 
 
 def _poisson(M: np.ndarray) -> np.ndarray:
-    """Inverse of (..., 2N, 2N) stacks of M, antisymmetrized; ValueError where it is not finite."""
+    """Inverse of (..., 2N, 2N) stacks of M, antisymmetrized; InvalidValue where not finite."""
     try:
         Pi = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # LU on entries near the float64 limit can meet a zero pivot
-        Pi = None
-    if Pi is None or not np.isfinite(Pi).all():  # before the subtraction, where inf - inf warns
-        raise ValueError("the inverse of the two-form matrix is not finite")
-    return 0.5 * (Pi - Pi.swapaxes(-1, -2))
+        Pi = np.full_like(M, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference past the float64 limit
+        Pi = 0.5 * (Pi - Pi.swapaxes(-1, -2))
+    if not np.isfinite(Pi).all():
+        raise InvalidValue("the inverse of the two-form matrix is not finite")
+    return Pi
+
+
+#: ||C Upsilon||_F^2 <= this puts every sigma(K) in [0.1, 1.9], above a cut if 1.9 rank_tol < 0.1
+_CERTIFIED_SQ = 0.81
 
 
 def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
@@ -58,6 +66,14 @@ def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
     s = np.linalg.svd(K, compute_uv=False)
     zero = (s <= np.maximum(s[..., :1], 1.0) * rank_tol).sum(-1)
     return zero + zero % 2
+
+
+def _decided_nullity(K: np.ndarray, rank_tol: float) -> np.ndarray:
+    """``_nullity`` for omega and sweep, where an SVD that does not converge is bad input."""
+    try:
+        return _nullity(K, rank_tol)
+    except np.linalg.LinAlgError as exc:  # a K that is not finite, where C Upsilon overflowed
+        raise InvalidValue(f"K = I + C(pi) Upsilon: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -121,14 +137,14 @@ def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> 
     """Rank and nullity of the two-form matrix M by ``_nullity``, decided once.
 
     Where M is degenerate the report carries a kernel basis from the SVD of M; where it
-    is not, the Poisson tensor ``_poisson(M)``.  Raises ValueError where pi has a
+    is not, the Poisson tensor ``_poisson(M)``.  Raises InvalidValue where pi has a
     non-finite entry, or where M is nondegenerate but its inverse is not finite.
     """
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
     C = lie_poisson_block(structure, pi)
     n = structure.algebra.dim
-    nullity = int(_nullity(structure._eye + C @ structure.Upsilon, rank_tol))
+    nullity = int(_decided_nullity(structure._eye + C @ structure.Upsilon, rank_tol))
     M = _omega_blocks(C, structure.Upsilon)
     if nullity:
         kernel, poisson = np.linalg.svd(M)[2][2 * n - nullity:].T, None
@@ -154,20 +170,34 @@ class GridReport:
     poisson: np.ndarray  # (points with nullity 0, 2N, 2N), in grid order
 
 
-def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi,
-                rank_tol: float = RANK_TOL) -> GridReport:
-    """Admit (G, N, N) stacks of Theta and Upsilon and decide every point at momentum pi.
+def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_TOL,
+                rows=None) -> GridReport:
+    """Admit stacks of Theta and Upsilon, each row once, and decide every point at momentum pi.
 
+    Point g has Theta[t[g]] and Upsilon[u[g]] for ``rows`` = (t, u), or row g of both without.
     Point by point the checks and bitwise results of DeformedStructure, degeneracy and
-    poisson_tensor: C(pi) as lie_poisson_block forms it, one stacked ``_nullity`` and ``_poisson``.
+    poisson_tensor: C(pi) once per Theta row, no SVD where the certificate decides.
     """
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
-    _admit(algebra, Theta, Upsilon)
+    if rows is None:
+        t = u = slice(None)
+        _admit(algebra, Theta, Upsilon)
+    else:
+        t, u = rows
+        try:  # a point passes exactly where its Theta row (with Upsilon 0) and Upsilon row pass
+            _admit(algebra, np.concatenate((Theta, np.zeros_like(Upsilon))),
+                   np.concatenate((np.zeros_like(Theta), Upsilon)))
+        except LieDeformError:  # on the grid, the first failing point raises its own error
+            _admit(algebra, Theta[t], Upsilon[u])
     n = algebra.dim
-    C = pi.dot(algebra._f_flat).reshape(n, n) + Theta
-    nullity = _nullity(np.eye(n) + C @ Upsilon, rank_tol)
+    C, Upsilon = (pi.dot(algebra._f_flat).reshape(n, n) + Theta)[t], Upsilon[u]
+    X = C @ Upsilon
+    with np.errstate(over="ignore"):  # a square past the float64 limit fails the certificate
+        svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not 1.9 * rank_tol < 0.1)
+    nullity = np.zeros(len(X), int)
+    nullity[svd] = _decided_nullity(np.eye(n) + X[svd], rank_tol)
     return GridReport(rank=2 * n - nullity, nullity=nullity,
                       poisson=_poisson(_omega_blocks(C, Upsilon)[nullity == 0]))
 
@@ -186,8 +216,9 @@ def darboux_shift(structure: DeformedStructure, pi):
 def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:
     """Load a deformation spec {"Theta":, "Upsilon":, "xi":} and admit it.
 
-    A null Theta together with a non-null xi builds the coboundary of xi.  ShapeMismatch names
-    a key whose value is not an N x N (Theta, Upsilon) or N (xi) array of numbers.
+    A non-null xi gives Theta as its coboundary, so InvalidValue rejects a non-null Theta with
+    it.  ShapeMismatch names a key whose value is not an N x N (Theta, Upsilon) or N (xi) array
+    of numbers.
     """
     data, n = _load_object(path), algebra.dim
     for key, shape in (("Theta", (n, n)), ("Upsilon", (n, n)), ("xi", (n,))):
@@ -198,6 +229,8 @@ def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:
         if not ok:
             raise ShapeMismatch(f"{path}: {key!r} must be a {shape} array of numbers")
     Theta = data.get("Theta")
-    if Theta is None and data.get("xi") is not None:
+    if data.get("xi") is not None:
+        if Theta is not None:
+            raise InvalidValue(f"{path}: 'Theta' and 'xi' both give Theta; give one of them")
         Theta = delta1_scalar(algebra, data["xi"])
     return DeformedStructure(algebra, Theta, data.get("Upsilon"))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LieAlgebra
+from .errors import InvalidValue
 
 #: singular values below this (relative) cut count as zero in null-space extraction
 NULLSPACE_TOL = 1e-10
@@ -45,7 +46,10 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
     if inertia_inv is not None:
         parts.append(_momentum_form_derivative(ad, inertia_inv))
     A = np.concatenate([part.reshape(n, -1) for part in parts], axis=1).T
-    _, s, vt = np.linalg.svd(A)
+    try:
+        _, s, vt = np.linalg.svd(A)
+    except np.linalg.LinAlgError as exc:  # a non-finite A, where a Lie derivative overflowed
+        raise InvalidValue(f"the Lie derivatives of the deformation: {exc}") from None
     smax = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > NULLSPACE_TOL * smax))
     basis = vt[rank:]

@@ -13,7 +13,7 @@ import liedeform
 from liedeform.algebra import get_algebra, so3
 from liedeform import cli, cohomology, phase_space
 from liedeform.cli import main, parse_axis
-from liedeform.errors import LieDeformError
+from liedeform.errors import InvalidValue, LieDeformError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -390,6 +390,48 @@ def test_deformation_value_that_is_not_numbers_exit_2(tmp_path, capsys, content,
     assert not isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("inline_xi", [False, True])
+def test_deformation_that_gives_theta_twice_exit_2(tmp_path, capsys, inline_xi):
+    # Theta with xi in one file, or a file with --xi: neither value may be dropped unread
+    path, out = tmp_path / "deformation.json", tmp_path / "out"
+    path.write_text(json.dumps({"Theta": np.zeros((3, 3)).tolist(),
+                                **({} if inline_xi else {"xi": [0, 0, 1]})}))
+    xi = ["--xi", "1,2,3"] if inline_xi else []
+    assert run(["omega", "--algebra", "so3", "--deformation", path, *xi, "-o", out]) == 2
+    keys = "--deformation and --xi" if inline_xi else f"{path}: 'Theta' and 'xi'"
+    assert capsys.readouterr().err == f"error: {keys} both give Theta; give one of them\n"
+    assert not out.exists()
+    with pytest.raises(LieDeformError):
+        cli.resolve_structure(cli._parser().parse_args(
+            ["omega", "--algebra", "so3", "--deformation", str(path), *xi]), so3())
+
+
+def test_theta_from_one_key_keeps_its_input_hash(tmp_path):
+    # Theta given once, by a file's Theta or xi or by --xi, hashes alike
+    xi = np.array([0.5, -1.0, 2.0])
+    specs = {"Theta": {"Theta": (-np.einsum('m,mab->ab', xi, so3().f)).tolist()},
+             "xi": {"xi": xi.tolist()}}
+    hashes = []
+    for name, content in specs.items():
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+        path.write_text(json.dumps(content))
+        assert run(["omega", "--algebra", "so3", "--deformation", path, "-o", out]) == 0
+        hashes.append(read_json(out)["input_hash"])
+    assert run(["omega", "--algebra", "so3", "--xi", "0.5,-1,2", "-o", tmp_path / "inline"]) == 0
+    hashes.append(read_json(tmp_path / "inline")["input_hash"])
+    assert len(set(hashes)) == 1
+
+
+@pytest.mark.parametrize("content", ["x", {"a": 1}, [[1, 2], [3]]])
+def test_algebra_file_that_is_not_numbers_exit_2(tmp_path, capsys, content):
+    # numpy's conversion errors name neither the file nor the key
+    path, out = tmp_path / "algebra.json", tmp_path / "out"
+    path.write_text(json.dumps({"name": "x", "dim": 3, "f": content}))
+    assert run(["validate", "--algebra", path, "-o", out]) == 2
+    assert capsys.readouterr().err == f"error: {path}: 'f' must be an array of numbers\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, content, message", [
     (SIMULATE + ["--inertia"], [[1, 0], [0, 1]],
      "--inertia: expected a 3 x 3 matrix, got shape (2, 2)"),
@@ -489,6 +531,81 @@ def test_an_internal_key_error_exits_1_with_a_traceback():
     assert done.stdout == ""
     assert done.stderr.startswith("Traceback (most recent call last):\n")
     assert done.stderr.endswith("KeyError: 'internal'\n")
+
+
+def test_an_internal_value_error_exits_1_with_a_traceback():
+    # bad input raises InvalidValue; a bare ValueError from the program itself is a bug
+    done = subprocess.run([sys.executable, "-c",
+                           INTERNAL_ERROR_SCRIPT.replace("KeyError", "ValueError")],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith("ValueError: internal\n")
+
+
+def _resolve_inertia_string(tmp):
+    (tmp / "inertia.json").write_text(json.dumps({"I_inv": "x"}))
+    cli.resolve_inertia(str(tmp / "inertia.json"), 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp: liedeform.LieAlgebra.from_structure_constants("x", np.ones((2, 2, 2))),
+    lambda tmp: liedeform.InertiaTensor(np.ones((2, 3))),
+    lambda tmp: liedeform.InertiaTensor([[1.0, 2.0], [0.0, 1.0]]),
+    lambda tmp: liedeform.InertiaTensor(-np.eye(2)),
+    lambda tmp: liedeform.integrate(liedeform.DeformedStructure(so3()),
+                                    liedeform.InertiaTensor.identity(3), [np.nan, 0, 0],
+                                    T=1.0, dt=0.1),
+    lambda tmp: liedeform.integrate(liedeform.DeformedStructure(so3()),
+                                    liedeform.InertiaTensor.identity(3), [1.0, 0, 0],
+                                    T=1.0, dt=0.0),
+    lambda tmp: liedeform.euler_reference(liedeform.InertiaTensor.identity(2), [1, 0],
+                                          T=1.0, dt=0.1),
+    lambda tmp: get_algebra("abelian0"),
+    lambda tmp: cli.parse_vector("1,a", 2, "--pi"),
+    lambda tmp: cli.parse_vector("1", 2, "--pi"),
+    lambda tmp: cli.parse_axis("theta:0,1=0:1"),
+    lambda tmp: cli.parse_axis("bogus:0,1=0:1:2"),
+    lambda tmp: cli.parse_axis("xi:0,1=0:1:2"),
+    lambda tmp: cli.resolve_inertia("diag:1,x", 2),
+    _resolve_inertia_string,
+    lambda tmp: phase_space._poisson(np.zeros((2, 2))),
+])
+def test_bad_input_raises_invalid_value(tmp_path, call):
+    # a toolkit error, so main exits 2, and a ValueError, as these sites raised before
+    with pytest.raises(InvalidValue) as info:
+        call(tmp_path)
+    assert isinstance(info.value, LieDeformError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "--algebra", "so3", "--pi=1e308,1e308,1e308", "--deformation", "{theta}"],
+     "K = I + C(pi) Upsilon: SVD did not converge"),
+    (["simulate", "--algebra", "so3", "--deformation", "{upsilon}", "--inertia", "identity",
+      "--pi0=1e308,1e308,1e308", "--T", "0.1", "--dt", "0.05", "--summary", os.devnull],
+     "non-finite K = I + C Upsilon at t = 0"),
+    (["isotropy", "--algebra", "sl2r", "--deformation", "{upsilon}",
+      "--inertia=diag:1e308,1e308,1e308"],
+     "the Lie derivatives of the deformation: SVD did not converge"),
+    (["omega", "--algebra", "so3", "--deformation", "{upsilon}"],
+     "the inverse of the two-form matrix is not finite"),
+])
+def test_overflow_in_a_decision_exit_2(tmp_path, argv, message):
+    # numpy's LinAlgError (a ValueError) where C Upsilon overflows is bad input, not a bug; a
+    # fresh interpreter, as numpy's RuntimeWarnings are errors under the test configuration
+    A = np.zeros((3, 3))
+    A[0, 1], A[1, 0] = 1e308, -1e308
+    files = {key: tmp_path / f"{key}.json" for key in ("theta", "upsilon")}
+    for key, path in files.items():
+        path.write_text(json.dumps({key.capitalize(): A.tolist()}))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "liedeform.cli",
+                           *[a.format(**files) for a in argv], "-o", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["omega", "--algebra", "so3", "--pi", "1e308,1e308,1e308"],
