@@ -285,10 +285,18 @@ def registry_algebras() -> list[LieAlgebra]:
     return [get_algebra(name) for name in ("abelian2", "abelian3", *sorted(_REGISTRY))]
 
 
+def _load_json(path):
+    """The JSON value in the file at ``path``; InvalidValue if its bytes do not decode."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:  # a ValueError that is neither bad JSON nor a bad path
+        raise InvalidValue(f"{path}: {exc}") from None
+
+
 def _load_object(path) -> dict:
     """The JSON object in the spec file at ``path``; InvalidInput if its top level is not one."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise InvalidInput(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import AXIOM_TOL, get_algebra, load_algebra
+from .algebra import AXIOM_TOL, _load_json, get_algebra, load_algebra
 from .cohomology import cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
 from .errors import DegenerateForm, InvalidInput, InvalidValue, LieDeformError
@@ -138,8 +138,7 @@ def resolve_inertia(spec: str, n: int) -> InertiaTensor:
         return InertiaTensor.identity(n)
     if spec.startswith("diag:"):
         return InertiaTensor.diagonal(parse_vector(spec[len("diag:"):], n, "--inertia"))
-    with open(spec) as fh:
-        data = json.load(fh)
+    data = _load_json(spec)
     if isinstance(data, dict) and "I_inv" not in data:
         raise InvalidInput(f"--inertia: {spec}: missing key 'I_inv'")
     try:

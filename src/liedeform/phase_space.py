@@ -57,7 +57,8 @@ def _poisson(M: np.ndarray) -> np.ndarray:
     return Pi
 
 
-#: ||C Upsilon||_F^2 <= this puts every sigma(K) in [0.1, 1.9], above a cut if 1.9 rank_tol < 0.1
+#: ||C Upsilon||_F^2 <= this = r^2 puts every sigma(K) in [1 - r, 1 + r] = [0.1, 1.9], above
+#: the cut wherever (1 + r) rank_tol < 1 - r
 _CERTIFIED_SQ = 0.81
 
 
@@ -181,21 +182,18 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
-    if rows is None:
-        t = u = slice(None)
-        _admit(algebra, Theta, Upsilon)
-    else:
-        t, u = rows
-        try:  # a point passes exactly where its Theta row (with Upsilon 0) and Upsilon row pass
-            _admit(algebra, np.concatenate((Theta, np.zeros_like(Upsilon))),
-                   np.concatenate((np.zeros_like(Theta), Upsilon)))
-        except LieDeformError:  # on the grid, the first failing point raises its own error
-            _admit(algebra, Theta[t], Upsilon[u])
+    t, u = (np.arange(len(Theta)),) * 2 if rows is None else rows
+    g = max(len(Theta), len(Upsilon))  # row k of each stack, the shorter one padded with zeros
+    try:  # admission checks each matrix alone: a point passes exactly where its two rows pass
+        _admit(algebra, *(np.concatenate((A, np.zeros((g - len(A),) + A.shape[1:])))
+                          for A in (Theta, Upsilon)))
+    except LieDeformError:  # on the grid, the first failing point raises its own error
+        _admit(algebra, Theta[t], Upsilon[u])
     n = algebra.dim
     C, Upsilon = (pi.dot(algebra._f_flat).reshape(n, n) + Theta)[t], Upsilon[u]
-    X = C @ Upsilon
+    X, r = C @ Upsilon, _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified
     with np.errstate(over="ignore"):  # a square past the float64 limit fails the certificate
-        svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not 1.9 * rank_tol < 0.1)
+        svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not rank_tol * (1 + r) < 1 - r)
     nullity = np.zeros(len(X), int)
     nullity[svd] = _decided_nullity(np.eye(n) + X[svd], rank_tol)
     return GridReport(rank=2 * n - nullity, nullity=nullity,

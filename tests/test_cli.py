@@ -432,6 +432,19 @@ def test_algebra_file_that_is_not_numbers_exit_2(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["validate", "--algebra"],
+                                  ["omega", "--algebra", "so3", "--deformation"],
+                                  ["isotropy", "--algebra", "so3", "--inertia"]])
+def test_spec_file_that_is_not_text_exit_2(tmp_path, capsys, argv):
+    # UnicodeDecodeError is a ValueError, but neither bad JSON nor an unreadable path
+    path, out = tmp_path / "binary.json", tmp_path / "out"
+    path.write_bytes(b"\xff")
+    assert run([*argv, path, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "decode byte 0xff" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("argv, content, message", [
     (SIMULATE + ["--inertia"], [[1, 0], [0, 1]],
      "--inertia: expected a 3 x 3 matrix, got shape (2, 2)"),

@@ -160,7 +160,10 @@ def test_factored_sweep_equals_full_grid(workdir, case):
     ("so3", ["--axis", "theta:0,1=0:0:0", "--axis", "upsilon:0,1=-1:1:3"], None),
     # the Theta row of point 1 breaks the cocycle condition, but point 0 fails first
     ("so3+R", ["--axis", "theta:0,3=0:1:2", "--axis", "upsilon:0,1=0:1:2"],
-     "Upsilon fails antisymmetry")])
+     "Upsilon fails antisymmetry"),
+    # Upsilon row 1 fails, but point 1 pairs Upsilon row 0 with the Theta row that fails first
+    ("so3+R", ["--axis", "upsilon:0,1=1e6:0:2", "--axis", "theta:0,3=0:1:2"],
+     "Theta is not a two-cocycle")])
 def test_an_upsilon_row_that_fails_antisymmetry(workdir, name, axes, error):
     # the base Upsilon passes at its own scale (1e6); an axis that overwrites the large entry
     # drops the scale, and its 5e-7 asymmetry then fails -- except on an empty grid
