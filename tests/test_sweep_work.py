@@ -212,7 +212,7 @@ def count_svd(monkeypatch):
 def test_admits_each_distinct_matrix_once(monkeypatch, tmp_path):
     counts = count_delta2(monkeypatch)
     assert cli.main(ABELIAN4 + ["-o", str(tmp_path / "grid.csv")]) == 0
-    assert sum(counts) <= 13 + 13 + 1  # Theta rows, Upsilon rows, the base; not 169 + 1
+    assert sum(counts) <= 13 + 1  # 13 (Theta row, Upsilon row) pairs and the base; not 169 + 1
 
 
 @pytest.mark.parametrize("rank_tol", [None, "0.2"])
