@@ -10,7 +10,6 @@ from .algebra import (
     is_semisimple,
     killing_form,
     load_algebra,
-    registry_algebras,
     validate_algebra,
 )
 from .cohomology import (
@@ -45,7 +44,6 @@ from .errors import (
 from .phase_space import (
     DeformedStructure,
     DegeneracyReport,
-    darboux_shift,
     degeneracy,
     lie_poisson_block,
     load_deformation,

@@ -78,14 +78,17 @@ class LieAlgebra:
 
     @classmethod
     def from_structure_constants(cls, name: str, f) -> "LieAlgebra":
-        algebra = cls(name, f)
-        report = algebra._validation
+        return cls(name, f)._accepted()
+
+    def _accepted(self) -> "LieAlgebra":
+        """self, or InvalidValue where f fails the axioms at AXIOM_TOL."""
+        report = self._validation
         if not report.accepted:
             raise InvalidValue(
                 f"structure constants rejected: antisymmetry residual "
                 f"{report.antisymmetry_residual:.3e}, Jacobi residual "
                 f"{report.jacobi_residual:.3e} (tol {AXIOM_TOL:.1e})")
-        return algebra
+        return self
 
     @functools.cached_property
     def _minus_f(self) -> np.ndarray:
@@ -280,11 +283,6 @@ def get_algebra(name: str) -> LieAlgebra:
                        f"known: {sorted(_REGISTRY) + ['abelian<N>']}")
 
 
-def registry_algebras() -> list[LieAlgebra]:
-    """All benchmark algebras, with abelian R^2 and R^3."""
-    return [get_algebra(name) for name in ("abelian2", "abelian3", *sorted(_REGISTRY))]
-
-
 def _load_json(path):
     """The JSON value in the file at ``path``; InvalidValue if its bytes do not decode."""
     try:
@@ -304,6 +302,11 @@ def _load_object(path) -> dict:
 
 def load_algebra(path) -> LieAlgebra:
     """Load an algebra spec file {"name":, "dim":, "f":} and validate it."""
+    return _read_algebra(path)._accepted()
+
+
+def _read_algebra(path) -> LieAlgebra:
+    """The algebra in a spec file, its axiom residuals computed but not yet judged."""
     data = _load_object(path)
     for key in ("name", "dim", "f"):
         if key not in data:
@@ -314,4 +317,4 @@ def load_algebra(path) -> LieAlgebra:
         raise ShapeMismatch(f"{path}: 'f' must be an array of numbers") from None
     if f.shape != (data["dim"],) * 3:
         raise ShapeMismatch(f"{path}: declared dim {data['dim']} but f has shape {f.shape}")
-    return LieAlgebra.from_structure_constants(data["name"], f)
+    return LieAlgebra(data["name"], f)

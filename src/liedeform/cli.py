@@ -5,8 +5,8 @@ floats are shortest round-trip reprs.  A CSV file is a header, then one row per
 time or grid point: cells separated by commas and never quoted, lines ending in
 "\\r\\n", floats with 17 significant digits, so files round-trip bit-faithfully.
 Both Poisson cells of a sweep row are empty where the form is degenerate, and on
-every row when N < 2.  Exit codes: 0 success, 2 validation failure,
-3 degenerate-form abort; exit 1 with a traceback is a bug.
+every row when N < 2.  Exit codes: 0 success, 2 validation failure or an input too large
+to allocate, 3 degenerate-form abort; exit 1 with a traceback is a bug.
 """
 from __future__ import annotations
 
@@ -24,10 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import AXIOM_TOL, _load_json, get_algebra, load_algebra
+from .algebra import AXIOM_TOL, _load_json, _read_algebra, get_algebra
 from .cohomology import cohomology_dimensions, delta1_scalar
 from .dynamics import InertiaTensor, integrate
-from .errors import DegenerateForm, InvalidInput, InvalidValue, LieDeformError
+from .errors import InvalidInput, InvalidValue, LieDeformError
 from .phase_space import RANK_TOL, DeformedStructure, decide_grid, degeneracy, load_deformation
 from .symmetry import isotropy_subalgebra
 
@@ -41,11 +41,9 @@ EXIT_DEGENERATE = 3
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
-    """json.dumps hook for numpy values; json writes floats as shortest round-trip reprs."""
+    """json.dumps hook for numpy arrays; json writes floats as shortest round-trip reprs."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -85,8 +83,10 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray], row_form
             fh.write("".join([row_format % row for row in zip(*block)]))
 
 
-def emit_report(report: dict, output: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
+def emit_report(report: dict, payload, output: str | None):
+    """Write the report with the hash of the run's resolved inputs and the version added."""
+    text = json.dumps({**report, "input_hash": input_hash(payload), "version": __version__},
+                      indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
     if output:
         with _overwritten(output) as fh:
             fh.write(text + "\n")
@@ -115,11 +115,6 @@ def parse_vector(text: str, n: int, option: str) -> np.ndarray:
     if len(values) != n:
         raise InvalidValue(f"{option}: expected {n} components, got {len(values)}")
     return np.array(values)
-
-
-def resolve_algebra(spec: str):
-    """Path to an algebra spec file, or a registry name."""
-    return load_algebra(spec) if os.path.exists(spec) else get_algebra(spec)
 
 
 def resolve_structure(args, algebra) -> DeformedStructure:
@@ -164,72 +159,59 @@ def _structure_payload(structure: DeformedStructure) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _emit(out: dict, payload, output: str | None):
-    """emit_report with the hash of the run's resolved inputs and the version added."""
-    emit_report({**out, "input_hash": input_hash(payload), "version": __version__}, output)
-
-
 def cmd_validate(args, algebra) -> int:
     report = dataclasses.replace(algebra._validation, tol=args.tol)
-    _emit({"algebra": algebra.name, "dim": algebra.dim,
-           "antisymmetry_residual": report.antisymmetry_residual,
-           "jacobi_residual": report.jacobi_residual, "accepted": report.accepted},
-          {"f": algebra.f}, args.output)
+    emit_report({"algebra": algebra.name, "dim": algebra.dim,
+                 "antisymmetry_residual": report.antisymmetry_residual,
+                 "jacobi_residual": report.jacobi_residual, "accepted": report.accepted},
+                {"f": algebra.f}, args.output)
     return EXIT_OK if report.accepted else EXIT_VALIDATION
 
 
-def cmd_cohomology(args, algebra) -> int:
-    structure = resolve_structure(args, algebra)
-    dims = cohomology_dimensions(algebra)
-    _emit({"algebra": algebra.name, "cocycle_residual": structure._residual,
-           "exact": structure._xi is not None, "xi": structure._xi,
-           "dims": {"Z2": dims.z2, "B2": dims.b2, "H2": dims.h2, "H1": dims.h1}},
-          _structure_payload(structure), args.output)
+def cmd_cohomology(args, structure) -> int:
+    dims = cohomology_dimensions(structure.algebra)
+    emit_report({"algebra": structure.algebra.name, "cocycle_residual": structure._residual,
+                 "exact": structure._xi is not None, "xi": structure._xi,
+                 "dims": {"Z2": dims.z2, "B2": dims.b2, "H2": dims.h2, "H1": dims.h1}},
+                _structure_payload(structure), args.output)
     return EXIT_OK
 
 
-def cmd_omega(args, algebra) -> int:
-    structure = resolve_structure(args, algebra)
-    pi = parse_vector(args.pi, algebra.dim, "--pi") if args.pi else np.zeros(algebra.dim)
+def cmd_omega(args, structure, pi) -> int:
     report = degeneracy(structure, pi, rank_tol=args.rank_tol)
-    _emit({"algebra": algebra.name, "rank": report.rank, "nullity": report.nullity,
-           "kernel": report.kernel, "poisson": report.poisson, "darboux_xi": structure._xi},
-          {**_structure_payload(structure), "pi": pi}, args.output)
+    emit_report({"algebra": structure.algebra.name, "rank": report.rank, "nullity": report.nullity,
+                 "kernel": report.kernel, "poisson": report.poisson, "darboux_xi": structure._xi},
+                {**_structure_payload(structure), "pi": pi}, args.output)
     return EXIT_OK
 
 
-def cmd_isotropy(args, algebra) -> int:
-    structure = resolve_structure(args, algebra)
-    inertia_inv = resolve_inertia(args.inertia, algebra.dim).I_inv if args.inertia else None
-    sub = isotropy_subalgebra(algebra, structure.Theta, structure.Upsilon, inertia_inv)
-    _emit({"algebra": algebra.name, "dimension": sub.dimension, "basis": sub.basis,
-           "closure_residual": sub.closure_residual},
-          {**_structure_payload(structure), "inertia": inertia_inv}, args.output)
+def cmd_isotropy(args, structure, inertia) -> int:
+    inertia_inv = None if inertia is None else inertia.I_inv
+    sub = isotropy_subalgebra(structure.algebra, structure.Theta, structure.Upsilon, inertia_inv)
+    emit_report({"algebra": structure.algebra.name, "dimension": sub.dimension,
+                 "basis": sub.basis, "closure_residual": sub.closure_residual},
+                {**_structure_payload(structure), "inertia": inertia_inv}, args.output)
     return EXIT_OK
 
 
-def cmd_simulate(args, algebra) -> int:
-    structure = resolve_structure(args, algebra)
-    inertia = resolve_inertia(args.inertia, algebra.dim)
-    pi0 = parse_vector(args.pi0, algebra.dim, "--pi0")
-
+def cmd_simulate(args, structure, inertia, pi0) -> int:
     # linear observables from the residual-symmetry directions
-    sub = isotropy_subalgebra(algebra, structure.Theta, structure.Upsilon, inertia.I_inv)
+    sub = isotropy_subalgebra(structure.algebra, structure.Theta, structure.Upsilon, inertia.I_inv)
     extra = {f"isotropy_{i}": sub.basis[i] for i in range(sub.dimension)}
 
     traj = integrate(structure, inertia, pi0, args.T, args.dt, extra_monitors=extra)
 
     channel_names = sorted(traj.monitors)
     columns = [traj.times, *traj.pis.T, *(traj.monitors[name] for name in channel_names)]
-    _write_csv(args.output, ["t"] + [f"pi_{i}" for i in range(algebra.dim)] + channel_names,
+    _write_csv(args.output, ["t"] + [f"pi_{i}" for i in range(len(pi0))] + channel_names,
                columns, ",".join(["%.17g"] * len(columns)) + "\r\n")
 
-    _emit({"algebra": algebra.name, "energy_drift": traj.drift("energy"),
-           "casimir_drift": traj.drift("casimir") if "casimir" in traj.monitors else None,
-           "monitor_drifts": {name: traj.drift(name) for name in channel_names},
-           "degenerate_at": traj.degenerate_at, "steps": len(traj.times) - 1},
-          {**_structure_payload(structure), "I_inv": inertia.I_inv, "pi0": pi0,
-           "T": args.T, "dt": args.dt}, args.summary)
+    emit_report({"algebra": structure.algebra.name, "energy_drift": traj.drift("energy"),
+                 "casimir_drift": traj.drift("casimir") if "casimir" in traj.monitors else None,
+                 "monitor_drifts": {name: traj.drift(name) for name in channel_names},
+                 "degenerate_at": traj.degenerate_at, "steps": len(traj.times) - 1},
+                {**_structure_payload(structure), "I_inv": inertia.I_inv, "pi0": pi0,
+                 "T": args.T, "dt": args.dt}, args.summary)
     return EXIT_OK if traj.degenerate_at is None else EXIT_DEGENERATE
 
 
@@ -262,9 +244,8 @@ def _rows(shape, picked, count):
     return (np.arange(count).reshape(sub) + np.zeros(shape, int)).ravel()
 
 
-def cmd_sweep(args, algebra) -> int:
-    base = resolve_structure(args, algebra)
-    pi = parse_vector(args.pi0, algebra.dim, "--pi0") if args.pi0 else np.zeros(algebra.dim)
+def cmd_sweep(args, base, pi) -> int:
+    algebra = base.algebra
     axes = [parse_axis(spec) for spec in args.axis]
     n = algebra.dim
     for kind, indices, _ in axes:
@@ -401,13 +382,25 @@ def main(argv=None) -> int:
         parser.error("--rank-tol must lie in (0, 1)")
     if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # validate only; NaN fails too
         parser.error("--tol must be non-negative and finite")
-    try:
+    try:  # inputs in the order every subcommand reports a bad one
+        if not os.path.exists(args.algebra):
+            algebra = get_algebra(args.algebra)
+        else:  # validate judges a file at its own --tol, where the residuals it reports are finite
+            algebra = _read_algebra(args.algebra)
+            finite = np.isfinite(dataclasses.astuple(algebra._validation)[:2]).all()
+            if args.command != "validate" or not finite:
+                algebra._accepted()
+        n = algebra.dim
+        inputs = [algebra if args.command == "validate" else resolve_structure(args, algebra)]
+        if args.command in ("isotropy", "simulate"):
+            inputs.append(resolve_inertia(args.inertia, n) if args.inertia else None)
+        option = {"omega": "pi", "simulate": "pi0", "sweep": "pi0"}.get(args.command)
+        if option:
+            text = getattr(args, option)
+            inputs.append(parse_vector(text, n, f"--{option}") if text else np.zeros(n))
         # looked up per call, not bound into the cached parser: a patched cmd_* is the one run
-        return globals()[f"cmd_{args.command}"](args, resolve_algebra(args.algebra))
-    except DegenerateForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (LieDeformError, OSError, json.JSONDecodeError) as exc:
+        return globals()[f"cmd_{args.command}"](args, *inputs)
+    except (LieDeformError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

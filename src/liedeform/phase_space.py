@@ -70,10 +70,12 @@ def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
 
 
 def _decided_nullity(K: np.ndarray, rank_tol: float) -> np.ndarray:
-    """``_nullity`` for omega and sweep, where an SVD that does not converge is bad input."""
+    """``_nullity`` for omega and sweep, where a K that is not finite is bad input."""
+    if not np.isfinite(K).all():  # C Upsilon overflowed: no count of its singular values holds
+        raise InvalidValue("K = I + C(pi) Upsilon has a non-finite entry")
     try:
         return _nullity(K, rank_tol)
-    except np.linalg.LinAlgError as exc:  # a K that is not finite, where C Upsilon overflowed
+    except np.linalg.LinAlgError as exc:  # LAPACK's SVD of a finite K did not converge
         raise InvalidValue(f"K = I + C(pi) Upsilon: {exc}") from None
 
 
@@ -145,7 +147,9 @@ def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> 
     _require_finite("pi", pi)
     C = lie_poisson_block(structure, pi)
     n = structure.algebra.dim
-    nullity = int(_decided_nullity(structure._eye + C @ structure.Upsilon, rank_tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # a K past the float64 limit: bad input
+        K = structure._eye + C @ structure.Upsilon
+    nullity = int(_decided_nullity(K, rank_tol))
     M = _omega_blocks(C, structure.Upsilon)
     if nullity:
         kernel, poisson = np.linalg.svd(M)[2][2 * n - nullity:].T, None
@@ -191,24 +195,14 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_
         _admit(algebra, Theta[t], Upsilon[u])
     n = algebra.dim
     C, Upsilon = (pi.dot(algebra._f_flat).reshape(n, n) + Theta)[t], Upsilon[u]
-    X, r = C @ Upsilon, _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified
-    with np.errstate(over="ignore"):  # a square past the float64 limit fails the certificate
+    r = _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float64 limit: not certified
+        X = C @ Upsilon
         svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not rank_tol * (1 + r) < 1 - r)
     nullity = np.zeros(len(X), int)
     nullity[svd] = _decided_nullity(np.eye(n) + X[svd], rank_tol)
     return GridReport(rank=2 * n - nullity, nullity=nullity,
                       poisson=_poisson(_omega_blocks(C, Upsilon)[nullity == 0]))
-
-
-def darboux_shift(structure: DeformedStructure, pi):
-    """Absorb an exact Theta into a momentum shift: returns (pi - xi, xi), xi = ``_xi``.
-
-    C_Theta(pi) = C_0(pi - xi) entrywise, so M_{Theta,Upsilon}(pi) = M_{0,Upsilon}(pi - xi)
-    for every Upsilon.  Raises NotExact, with its xi and residual, where Theta is not exact.
-    """
-    if structure._xi is None:
-        _primitive(structure.algebra, structure.Theta)  # raises NotExact
-    return np.asarray(pi, float) - structure._xi, structure._xi
 
 
 def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from liedeform.algebra import registry_algebras
+from liedeform.algebra import _REGISTRY, get_algebra
+
+
+def registry_algebras():
+    """All benchmark algebras, with abelian R^2 and R^3."""
+    return [get_algebra(name) for name in ("abelian2", "abelian3", *sorted(_REGISTRY))]
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 import numpy as np
 import pytest
 
-from liedeform.algebra import (abelian, heisenberg, registry_algebras, sl2r,
-                               so3, validate_algebra)
+from liedeform.algebra import abelian, heisenberg, sl2r, so3, validate_algebra
 from liedeform.cohomology import (cohomology_dimensions, delta1_scalar,
                                   delta1_vector, delta2, solve_primitive)
 from liedeform.dynamics import (InertiaTensor, euler_reference, integrate)
@@ -15,7 +14,7 @@ from liedeform.phase_space import (DeformedStructure, degeneracy,
                                    poisson_tensor)
 from liedeform.symmetry import isotropy_subalgebra
 
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, registry_algebras
 from test_symmetry import group_isotropy_check
 
 REGISTRY = registry_algebras()

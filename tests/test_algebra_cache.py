@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from liedeform.algebra import (SEMISIMPLE_TOL, LieAlgebra, ad_matrix, get_algebra,
-                               is_semisimple, killing_form, registry_algebras, validate_algebra)
+                               is_semisimple, killing_form, validate_algebra)
 from liedeform.cohomology import (EXACTNESS_TOL, _cohomology_dimensions, _primitive,
                                   cocycle_residual, cohomology_dimensions, delta1_scalar)
 from liedeform.dynamics import _casimir_monitor, so3_vector_representation
 from liedeform.errors import NotExact
 from liedeform.phase_space import DeformedStructure
+from conftest import registry_algebras
 from test_dynamics import conjugated
 
 NAMES = ["so3", "sl2r", "heisenberg", "se2", "abelian1", "abelian3"]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import liedeform
-from liedeform.algebra import get_algebra, so3
+from liedeform.algebra import get_algebra, load_algebra, so3
 from liedeform import cli, cohomology, phase_space
 from liedeform.cli import main, parse_axis
 from liedeform.errors import InvalidValue, LieDeformError
@@ -88,6 +89,42 @@ class TestValidate:
 
     def test_missing_file_exit_2(self):
         assert run(["validate", "--algebra", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("tol, code", [("1e-6", 0), ("1e-10", 2)])
+    def test_file_judged_at_its_tol(self, tmp_path, tol, code):
+        # residuals of 1e-9: past AXIOM_TOL, so only validate's own --tol can admit the file
+        f = so3().f.copy()
+        f[0, 1, 2] += 1e-9
+        path, out = tmp_path / "loose.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"name": "loose", "dim": 3, "f": f.tolist()}))
+        assert run(["validate", "--algebra", path, "--tol", tol, "-o", out]) == code
+        report = read_json(out)
+        assert report["accepted"] == (code == 0)
+        assert 0.9e-9 < report["jacobi_residual"] < 1.1e-9
+
+    def test_other_readers_reject_a_file_at_axiom_tol(self, tmp_path, capsys):
+        f = so3().f.copy()
+        f[0, 1, 2] += 1e-9
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({"name": "loose", "dim": 3, "f": f.tolist()}))
+        message = ("structure constants rejected: antisymmetry residual 1.000e-09, "
+                   "Jacobi residual 1.000e-09 (tol 1.0e-12)")
+        for command in ("cohomology", "omega", "isotropy"):
+            assert run([command, "--algebra", path, "-o", tmp_path / "out.json"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(InvalidValue) as info:
+            load_algebra(path)
+        assert str(info.value) == message
+        assert not (tmp_path / "out.json").exists()
+
+    def test_file_with_residuals_that_are_not_finite_exit_2(self, tmp_path, capsys):
+        # a report could not carry them: JSON reports are strict
+        path, out = tmp_path / "nan.json", tmp_path / "report.json"
+        path.write_text('{"name": "nan", "dim": 1, "f": [[[NaN]]]}')
+        assert run(["validate", "--algebra", path, "--tol", "1", "-o", out]) == 2
+        assert capsys.readouterr().err == ("error: structure constants rejected: antisymmetry "
+                                           "residual nan, Jacobi residual nan (tol 1.0e-12)\n")
+        assert not out.exists()
 
 
 class TestCohomology:
@@ -557,6 +594,30 @@ def test_an_internal_value_error_exits_1_with_a_traceback():
     assert done.stderr.endswith("ValueError: internal\n")
 
 
+def below_4_gib():
+    """preexec_fn: an address-space limit, so a huge allocation fails at once on any host."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["simulate", "--algebra", "so3", "--inertia", "identity", "--pi0", "1,0,0",
+      "--T", "1e12", "--dt", "1"], "(1000000000001,)"),
+    (["sweep", "--algebra", "so3", "--axis", "xi:0=0:1:1000000000000"], "(1000000000000,)"),
+])
+def test_an_input_too_large_to_allocate_exit_2(tmp_path, argv, shape):
+    # one BLAS thread: its buffers stay well inside the limit on a host with many cores
+    out = tmp_path / "out.csv"
+    done = subprocess.run([sys.executable, "-m", "liedeform.cli", *argv, "-o", str(out)],
+                          capture_output=True, text=True, preexec_fn=below_4_gib,
+                          env={**subprocess_env(), "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: Unable to allocate 7.28 TiB for an array with shape "
+                                  + shape)
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def _resolve_inertia_string(tmp):
     (tmp / "inertia.json").write_text(json.dumps({"I_inv": "x"}))
     cli.resolve_inertia(str(tmp / "inertia.json"), 3)
@@ -594,7 +655,7 @@ def test_bad_input_raises_invalid_value(tmp_path, call):
 
 @pytest.mark.parametrize("argv, message", [
     (["omega", "--algebra", "so3", "--pi=1e308,1e308,1e308", "--deformation", "{theta}"],
-     "K = I + C(pi) Upsilon: SVD did not converge"),
+     "K = I + C(pi) Upsilon has a non-finite entry"),
     (["simulate", "--algebra", "so3", "--deformation", "{upsilon}", "--inertia", "identity",
       "--pi0=1e308,1e308,1e308", "--T", "0.1", "--dt", "0.05", "--summary", os.devnull],
      "non-finite K = I + C Upsilon at t = 0"),
@@ -618,6 +679,25 @@ def test_overflow_in_a_decision_exit_2(tmp_path, argv, message):
                           capture_output=True, text=True, env=subprocess_env())
     assert done.returncode == 2
     assert done.stderr.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--algebra", "so3", "--pi=1e308,1e308,1e308", "--deformation", "{upsilon}"],
+    ["sweep", "--algebra", "so3", "--pi0=1e308,1e308,1e308", "--deformation", "{upsilon}"],
+    ["sweep", "--algebra", "so3", "--pi0=1e308,1e308,1e308", "--deformation", "{upsilon}",
+     "--rank-tol", "0.5"],
+])
+def test_infinite_k_exit_2(tmp_path, argv):
+    # C(pi) is finite and C Upsilon overflows to inf: no count of K's singular values holds
+    path, out = tmp_path / "upsilon.json", tmp_path / "out"
+    path.write_text('{"Upsilon": [[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]]}')
+    done = subprocess.run([sys.executable, "-m", "liedeform.cli",
+                           *[a.format(upsilon=path) for a in argv], "-o", str(out)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: K = I + C(pi) Upsilon has a non-finite entry\n"
     assert not out.exists()
 
 
@@ -803,9 +883,21 @@ class TestOptions:
         assert main(["validate", "--algebra", "so3", *tol]) == 0
         assert '"accepted": true' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--algebra", "so3", "--inertia", "identity", "--pi0", "1,0,0",
+          "--T", "1", "--dt", "0.1"], "simulate requires --output for the trajectory CSV"),
+        (["sweep", "--algebra", "so3", "--axis", "xi:0=0:1:2"],
+         "sweep requires --output for the grid CSV"),
+    ])
+    def test_csv_commands_without_output_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_reports_are_strict_json(self, tmp_path):
         with pytest.raises(ValueError):
-            cli.emit_report({"drift": float("nan")}, tmp_path / "report.json")
+            cli.emit_report({"drift": float("nan")}, {}, tmp_path / "report.json")
 
 
 class TestSweep:

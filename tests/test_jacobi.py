@@ -14,12 +14,12 @@ The oracle builds M and inverts it itself, independent of the code in phase_spac
 import numpy as np
 import pytest
 
-from liedeform.algebra import LieAlgebra, heisenberg, registry_algebras
+from liedeform.algebra import LieAlgebra, heisenberg
 from liedeform.cohomology import delta1_scalar
 from liedeform.errors import NotACocycle
 from liedeform.phase_space import DeformedStructure
 
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, registry_algebras
 from test_cohomology import so3_plus_center
 
 

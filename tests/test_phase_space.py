@@ -6,9 +6,9 @@ from liedeform.algebra import _transpose_residual, abelian, heisenberg, se2, sl2
 from liedeform.cohomology import cocycle_residual, delta1_scalar, solve_primitive
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
 from liedeform.errors import DegenerateForm, NotACocycle, NotAntisymmetric, NotExact
-from liedeform.phase_space import (RANK_TOL, DeformedStructure, darboux_shift, decide_grid,
-                                   degeneracy, lie_poisson_block, load_deformation,
-                                   omega_matrix, poisson_tensor)
+from liedeform.phase_space import (RANK_TOL, DeformedStructure, decide_grid, degeneracy,
+                                   lie_poisson_block, load_deformation, omega_matrix,
+                                   poisson_tensor)
 
 from conftest import random_antisymmetric
 
@@ -400,31 +400,30 @@ class TestOneNondegeneracyRule:
 
 
 class TestDarbouxShift:
+    """The shift pi -> pi - xi by the structure's kept primitive ``_xi``."""
+
     def test_so3_example(self):
         xi = np.array([0.0, 0.0, 1.0])
         S = DeformedStructure(so3(), delta1_scalar(so3(), xi))
         pi = np.array([0.0, 0.0, 1.0])
-        pi_shifted, xi_found = darboux_shift(S, pi)
-        assert np.allclose(pi_shifted, np.zeros(3), atol=1e-13)
-        assert np.allclose(xi_found, xi, atol=1e-13)
+        assert np.allclose(pi - S._xi, np.zeros(3), atol=1e-13)
+        assert np.allclose(S._xi, xi, atol=1e-13)
         assert np.max(np.abs(lie_poisson_block(S, pi))) < 1e-13
 
     def test_trivial_theta(self, rng):
         S = DeformedStructure(so3())
         pi = rng.normal(size=3)
-        pi_shifted, xi = darboux_shift(S, pi)
-        assert np.array_equal(pi_shifted, pi)
-        assert np.array_equal(xi, np.zeros(3))
+        assert np.array_equal(pi - S._xi, pi)
+        assert np.array_equal(S._xi, np.zeros(3))
 
     def test_heisenberg_not_exact(self):
         Theta = np.zeros((3, 3))
         Theta[0, 2], Theta[2, 0] = 1.0, -1.0
-        for Upsilon in (None, Theta):  # NotExact, with its xi and residual, whatever Upsilon is
-            S = DeformedStructure(heisenberg(), Theta, Upsilon)
-            with pytest.raises(NotExact) as info:
-                darboux_shift(S, np.zeros(3))
-            assert S._xi is None
-            assert info.value.xi.shape == (3,) and info.value.residual > 0
+        for Upsilon in (None, Theta):  # no primitive, whatever Upsilon is
+            assert DeformedStructure(heisenberg(), Theta, Upsilon)._xi is None
+        with pytest.raises(NotExact) as info:  # which solve_primitive raises with xi and residual
+            solve_primitive(heisenberg(), Theta)
+        assert info.value.xi.shape == (3,) and info.value.residual > 0
 
     def test_upsilon_present(self, registry, rng):
         # the shift moves only C(pi): M_{delta xi, Upsilon}(pi) = M_{0, Upsilon}(pi - xi)
@@ -433,10 +432,8 @@ class TestDarbouxShift:
                 xi, pi = rng.normal(size=(2, algebra.dim))
                 Upsilon = random_antisymmetric(rng, algebra.dim)
                 S = DeformedStructure(algebra, delta1_scalar(algebra, xi), Upsilon)
-                pi_shifted, xi_found = darboux_shift(S, pi)
-                assert np.array_equal(pi_shifted, pi - xi_found)
                 M = omega_matrix(S, pi)
-                shifted = omega_matrix(DeformedStructure(algebra, None, Upsilon), pi_shifted)
+                shifted = omega_matrix(DeformedStructure(algebra, None, Upsilon), pi - S._xi)
                 assert np.max(np.abs(M - shifted)) <= 1e-12 * np.max(np.abs(M))
 
     def test_darboux_identity_random(self, rng):
@@ -447,9 +444,8 @@ class TestDarbouxShift:
                 xi = rng.normal(size=3)
                 pi = rng.normal(size=3)
                 S = DeformedStructure(algebra, delta1_scalar(algebra, xi))
-                pi_shifted, _ = darboux_shift(S, pi)
                 lhs = lie_poisson_block(S, pi)
-                rhs = lie_poisson_block(undeformed, pi_shifted)
+                rhs = lie_poisson_block(undeformed, pi - S._xi)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_darboux_identity_all_registry(self, registry, rng):
@@ -459,9 +455,8 @@ class TestDarbouxShift:
                 xi = rng.normal(size=algebra.dim)
                 pi = rng.normal(size=algebra.dim)
                 S = DeformedStructure(algebra, delta1_scalar(algebra, xi))
-                pi_shifted, _ = darboux_shift(S, pi)
                 assert np.max(np.abs(lie_poisson_block(S, pi)
-                                     - lie_poisson_block(undeformed, pi_shifted))) < 1e-12
+                                     - lie_poisson_block(undeformed, pi - S._xi))) < 1e-12
 
 
 class TestLoadDeformation:

@@ -1,9 +1,8 @@
 """Theta's primitive has one owner per structure: ``DeformedStructure._xi``.
 
-``cohomology._primitive`` is called only by ``solve_primitive`` (a free Theta),
-``DeformedStructure._xi`` (solved on first read, then kept) and ``darboux_shift`` (only
-to raise NotExact with its xi and residual).  cli.py and dynamics.py read ``_xi``; a
-second solve there could drift from the first, and was solved again on every call.
+``cohomology._primitive`` is called only by ``solve_primitive`` (a free Theta) and
+``DeformedStructure._xi`` (solved on first read, then kept).  cli.py and dynamics.py read
+``_xi``; a second solve there could drift from the first, and was solved again on every call.
 """
 import ast
 
@@ -24,7 +23,7 @@ UPSILON = [[0.0, 0.3, -0.2], [-0.3, 0.0, 0.7], [0.2, -0.7, 0.0]]
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """The calls of phase_space._primitive, the binding _xi and darboux_shift solve by."""
+    """The calls of phase_space._primitive, the binding _xi solves by."""
     calls = []
     primitive = phase_space._primitive
 
@@ -89,8 +88,7 @@ def test_primitive_is_called_only_by_its_owners():
     callers = {(path, scope) for path, tree in parsed_sources()
                for scope in enclosing_calls(tree, "_primitive")}
     assert callers == {("liedeform/cohomology.py", "solve_primitive"),
-                       ("liedeform/phase_space.py", "DeformedStructure._xi"),
-                       ("liedeform/phase_space.py", "darboux_shift")}
+                       ("liedeform/phase_space.py", "DeformedStructure._xi")}
 
 
 def test_cli_and_dynamics_read_the_kept_primitive():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liedeform import cli, cohomology
-from liedeform.algebra import get_algebra, so3
+from liedeform.algebra import get_algebra, load_algebra, so3
 from liedeform.cohomology import _admit, delta1_scalar
 from liedeform.errors import LieDeformError
 from liedeform.phase_space import DeformedStructure, degeneracy
@@ -48,7 +48,8 @@ def reference(argv):
     full grid, as the CLI did before the factoring: one DeformedStructure and degeneracy each."""
     args = cli._parser().parse_args(cli._join_negative_values(argv))
     try:
-        algebra = cli.resolve_algebra(args.algebra)
+        algebra = (load_algebra(args.algebra) if os.path.exists(args.algebra)
+                   else get_algebra(args.algebra))
         base = cli.resolve_structure(args, algebra)
         n = algebra.dim
         pi = cli.parse_vector(args.pi0, n, "--pi0") if args.pi0 else np.zeros(n)
