@@ -238,12 +238,6 @@ def parse_axis(text: str):
     return kind, indices, values
 
 
-def _rows(shape, picked, count):
-    """Each point of the row-major grid ``shape``: its row in the grid of the axes ``picked``."""
-    sub = [m if k in picked else 1 for k, m in enumerate(shape)]  # that grid has count rows
-    return (np.arange(count).reshape(sub) + np.zeros(shape, int)).ravel()
-
-
 def cmd_sweep(args, base, pi) -> int:
     algebra = base.algebra
     axes = [parse_axis(spec) for spec in args.axis]
@@ -252,41 +246,38 @@ def cmd_sweep(args, base, pi) -> int:
         if not all(0 <= i < n for i in indices) or len(set(indices)) < len(indices):
             raise InvalidValue(f"{kind} axis indices {indices} must be distinct and in 0..{n - 1}")
 
-    # grid points in row-major order (last axis fastest); Theta is built once per point of the
-    # theta and xi axes' own grid, Upsilon of the upsilon axes', and each axis value's text once
-    shape = [len(values) for _, _, values in axes]
-    size = int(np.prod(shape))
-    picks = [[k for k, (kind, _, _) in enumerate(axes) if kind in kinds]
-             for kinds in (("theta", "xi"), ("upsilon",))]
+    # points in row-major order (last axis fastest): Theta varies along the theta and xi axes,
+    # Upsilon along the upsilon axes, each of size 1 on the others; each axis value's text once
     stacks = []
-    for A, picked in zip((base.Theta, base.Upsilon), picks):
-        columns = [g.ravel() for g in np.meshgrid(*[axes[k][2] for k in picked], indexing="ij")]
-        A = np.repeat(A[None], int(np.prod([shape[k] for k in picked])), axis=0)
+    for A, kinds in ((base.Theta, ("theta", "xi")), (base.Upsilon, ("upsilon",))):
+        own = [axis for axis in axes if axis[0] in kinds]
+        columns = [g.ravel() for g in np.meshgrid(*[values for *_, values in own], indexing="ij")]
+        sub = [len(values) if kind in kinds else 1 for kind, _, values in axes]
+        A = np.repeat(A[None], int(np.prod(sub)), axis=0)
         xi = np.zeros((len(A), n))
-        for (kind, indices, _), column in zip([axes[k] for k in picked], columns):
+        for (kind, indices, _), column in zip(own, columns):
             if kind == "xi":
                 xi[:, indices[0]] = column
             else:
                 i, j = indices
                 A[:, i, j], A[:, j, i] = column, -column
-        if any(axes[k][0] == "xi" for k in picked):
+        if any(kind == "xi" for kind, _, _ in own):
             A = A + delta1_scalar(algebra, xi)
-        stacks.append(A)
-    report = decide_grid(algebra, *stacks, pi, rank_tol=args.rank_tol,
-                         rows=[_rows(shape, picked, len(A)) for picked, A in zip(picks, stacks)])
+        stacks.append(A.reshape(sub + [n, n]))
+    report = decide_grid(algebra, *stacks, pi, rank_tol=args.rank_tol)
 
     # the two Poisson cells as one string: both empty where degenerate, and everywhere if N < 2
-    brackets = np.full(size, ",", dtype=object)
+    brackets = np.full(len(report.rank), ",", dtype=object)
     if n >= 2:
         Pi = report.poisson
         brackets[report.nullity == 0] = ["%.17g,%.17g" % qp for qp in
                                          zip(Pi[:, 0, 1].tolist(), Pi[:, n, n + 1].tolist())]
     text = [np.array(["%.17g" % v for v in values.tolist()], dtype=object) for *_, values in axes]
-    cells = [column[_rows(shape, [k], len(column))] for k, column in enumerate(text)]
+    cells = [g.ravel() for g in np.meshgrid(*text, indexing="ij")]
     header = (["index"] + [f"{kind}_" + "_".join(map(str, indices)) for kind, indices, _ in axes]
               + ["rank", "nullity", "poisson_qq", "poisson_pp"])
-    _write_csv(args.output, header, [np.arange(size), *cells, report.rank, report.nullity,
-                                     brackets],
+    _write_csv(args.output, header, [np.arange(len(report.rank)), *cells, report.rank,
+                                     report.nullity, brackets],
                "%d," + "%s," * len(cells) + "%d,%d,%s\r\n")
     return EXIT_OK
 

@@ -26,8 +26,8 @@ from .phase_space import (_CERTIFIED_SQ, DeformedStructure, _nullity,  # noqa: F
 # certificate or _nullity passed it, so sigma_min(K) > RANK_TOL * sigma_max(K).  A zero
 # pivot makes K + E singular for the LU's backward error |E| <~ N eps growth |K|, which
 # needs growth above about RANK_TOL / (N eps) = 1e5; partial pivoting grows elements by
-# at most 2**(N - 1) = 512 at N <= 10.  A NaN in K makes _nullity's SVD raise first; an
-# inf gives the same NaNs from both routines.
+# at most 2**(N - 1) = 512 at N <= 10.  A NaN or inf in K fails the certificate, and
+# _nullity rejects it before any LAPACK call.
 _solve = np.linalg._umath_linalg.solve1
 
 #: CF4's weights of the four RK4 stage velocities in each of a step's two exponents
@@ -78,7 +78,8 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
     With Upsilon != 0, pidot solves K pidot = -C velocity, K = I + C Upsilon.  When
     ||C Upsilon||_F^2 <= 0.81, K is nondegenerate by the certificate in the phase_space
     docstring and no SVD is made; otherwise DegenerateForm is raised where
-    phase_space._nullity finds K degenerate at RANK_TOL, the rule ``omega`` applies.
+    phase_space._nullity finds K degenerate at RANK_TOL, the rule ``omega`` applies, and
+    InvalidValue where it finds K not finite.
     A K that passes is solved by LAPACK's gufunc directly (``_solve``): by the argument
     at its binding it cannot meet the exactly singular K that np.linalg.solve rejects.
 
@@ -95,7 +96,7 @@ def hamiltonian_vector_field(structure: DeformedStructure, inertia: InertiaTenso
     X = minus_C.dot(structure.Upsilon)
     K = structure._eye - X
     x = X.ravel()
-    # not (x.x <= ...): a NaN or inf in K fails the certificate and reaches the SVD
+    # not (x.x <= ...): a NaN or inf in K fails the certificate, and _nullity raises InvalidValue
     if not x.dot(x) <= _CERTIFIED_SQ and _nullity(K):
         raise DegenerateForm("two-form degenerate at this momentum")
     pidot = _solve(K, minus_C.dot(velocity))
@@ -239,8 +240,8 @@ def integrate(structure: DeformedStructure, inertia: InertiaTensor, pi0,
                 except DegenerateForm:
                     degenerate_at = float(times[k])
                     break
-                except np.linalg.LinAlgError:  # _nullity's SVD of a K that is not finite
-                    rejected = f"non-finite K = I + C Upsilon at t = {times[k]:.6g}"
+                except InvalidValue as exc:  # _nullity's K is not finite, or its SVD failed
+                    rejected = f"{exc} at t = {times[k]:.6g}"
                     break
                 y_list = [p + sixth * (((q1 + 2.0 * q2) + 2.0 * q3) + q4) for p, q1, q2, q3, q4
                           in zip(y.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())]

@@ -37,9 +37,9 @@ RANK_TOL = 1e-10
 
 
 def _omega_blocks(C: np.ndarray, Upsilon: np.ndarray) -> np.ndarray:
-    """M = [[C, I], [-I, Upsilon]] from (..., N, N) blocks."""
+    """M = [[C, I], [-I, Upsilon]] from (..., N, N) blocks, stacked to their broadcast shape."""
     n, eye = C.shape[-1], np.eye(C.shape[-1])
-    M = np.empty(C.shape[:-2] + (2 * n, 2 * n))
+    M = np.empty(np.broadcast_shapes(C.shape, Upsilon.shape)[:-2] + (2 * n, 2 * n))
     M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:] = C, eye, -eye, Upsilon
     return M
 
@@ -63,20 +63,18 @@ _CERTIFIED_SQ = 0.81
 
 
 def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
-    """Nullity of M from (..., N, N) stacks of K = I + C Upsilon, by the rule stated above."""
-    s = np.linalg.svd(K, compute_uv=False)
-    zero = (s <= np.maximum(s[..., :1], 1.0) * rank_tol).sum(-1)
-    return zero + zero % 2
+    """Nullity of M from (..., N, N) stacks of K = I + C Upsilon, by the rule stated above.
 
-
-def _decided_nullity(K: np.ndarray, rank_tol: float) -> np.ndarray:
-    """``_nullity`` for omega and sweep, where a K that is not finite is bad input."""
+    A K that is not finite, or whose SVD LAPACK cannot converge, is bad input: InvalidValue.
+    """
     if not np.isfinite(K).all():  # C Upsilon overflowed: no count of its singular values holds
         raise InvalidValue("K = I + C(pi) Upsilon has a non-finite entry")
     try:
-        return _nullity(K, rank_tol)
+        s = np.linalg.svd(K, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # LAPACK's SVD of a finite K did not converge
         raise InvalidValue(f"K = I + C(pi) Upsilon: {exc}") from None
+    zero = (s <= np.maximum(s[..., :1], 1.0) * rank_tol).sum(-1)
+    return zero + zero % 2
 
 
 @dataclass(frozen=True)
@@ -145,11 +143,11 @@ def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> 
     """
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
-    C = lie_poisson_block(structure, pi)
     n = structure.algebra.dim
-    with np.errstate(over="ignore", invalid="ignore"):  # a K past the float64 limit: bad input
+    with np.errstate(over="ignore", invalid="ignore"):  # a C or K past the float64 limit: bad input
+        C = lie_poisson_block(structure, pi)
         K = structure._eye + C @ structure.Upsilon
-    nullity = int(_decided_nullity(K, rank_tol))
+    nullity = int(_nullity(K, rank_tol))
     M = _omega_blocks(C, structure.Upsilon)
     if nullity:
         kernel, poisson = np.linalg.svd(M)[2][2 * n - nullity:].T, None
@@ -175,34 +173,35 @@ class GridReport:
     poisson: np.ndarray  # (points with nullity 0, 2N, 2N), in grid order
 
 
-def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_TOL,
-                rows=None) -> GridReport:
-    """Admit stacks of Theta and Upsilon, each row once, and decide every point at momentum pi.
+def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_TOL) -> GridReport:
+    """Decide at momentum pi each point of (..., N, N) Theta and Upsilon stacks that broadcast.
 
-    Point g has Theta[t[g]] and Upsilon[u[g]] for ``rows`` = (t, u), or row g of both without.
-    Point by point the checks and bitwise results of DeformedStructure, degeneracy and
-    poisson_tensor: C(pi) once per Theta row, no SVD where the certificate decides.
+    Points in the broadcast stack's row-major order, each with the checks and bitwise results
+    of DeformedStructure, degeneracy and poisson_tensor; each stack's matrices admitted once,
+    C(pi) formed once per Theta, and no SVD where the certificate decides.
     """
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
-    t, u = (np.arange(len(Theta)),) * 2 if rows is None else rows
-    g = max(len(Theta), len(Upsilon))  # row k of each stack, the shorter one padded with zeros
-    try:  # admission checks each matrix alone: a point passes exactly where its two rows pass
+    stacks = [A.reshape((-1,) + A.shape[-2:]) for A in (Theta, Upsilon)]
+    g = max(map(len, stacks))  # matrix k of each stack, the shorter one padded with zeros
+    try:  # admission checks each matrix alone: a point passes exactly where its two matrices pass
         _admit(algebra, *(np.concatenate((A, np.zeros((g - len(A),) + A.shape[1:])))
-                          for A in (Theta, Upsilon)))
+                          for A in stacks))
     except LieDeformError:  # on the grid, the first failing point raises its own error
-        _admit(algebra, Theta[t], Upsilon[u])
+        grid = np.broadcast_shapes(Theta.shape[:-2], Upsilon.shape[:-2])
+        _admit(algebra, *(np.broadcast_to(A, grid + A.shape[-2:]).reshape((-1,) + A.shape[-2:])
+                          for A in (Theta, Upsilon)))
     n = algebra.dim
-    C, Upsilon = (pi.dot(algebra._f_flat).reshape(n, n) + Theta)[t], Upsilon[u]
+    C = pi.dot(algebra._f_flat).reshape(n, n) + Theta
     r = _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified
     with np.errstate(over="ignore", invalid="ignore"):  # past the float64 limit: not certified
-        X = C @ Upsilon
+        X = (C @ Upsilon).reshape(-1, n, n)
         svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not rank_tol * (1 + r) < 1 - r)
     nullity = np.zeros(len(X), int)
-    nullity[svd] = _decided_nullity(np.eye(n) + X[svd], rank_tol)
-    return GridReport(rank=2 * n - nullity, nullity=nullity,
-                      poisson=_poisson(_omega_blocks(C, Upsilon)[nullity == 0]))
+    nullity[svd] = _nullity(np.eye(n) + X[svd], rank_tol)
+    return GridReport(rank=2 * n - nullity, nullity=nullity, poisson=_poisson(
+        _omega_blocks(C, Upsilon).reshape(-1, 2 * n, 2 * n)[nullity == 0]))
 
 
 def load_deformation(path, algebra: LieAlgebra) -> DeformedStructure:

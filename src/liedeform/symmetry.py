@@ -42,9 +42,10 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
     """Null space of u -> (L_u Theta, L_u Upsilon[, L_u I]) with closure check."""
     n = algebra.dim
     ad = algebra._ad_basis  # ad at u = I: column i of the map is its value at e_i
-    parts = [_cocycle_derivative(ad, Theta), _momentum_form_derivative(ad, Upsilon)]
-    if inertia_inv is not None:
-        parts.append(_momentum_form_derivative(ad, inertia_inv))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD below
+        parts = [_cocycle_derivative(ad, Theta), _momentum_form_derivative(ad, Upsilon)]
+        if inertia_inv is not None:
+            parts.append(_momentum_form_derivative(ad, inertia_inv))
     A = np.concatenate([part.reshape(n, -1) for part in parts], axis=1).T
     try:
         _, s, vt = np.linalg.svd(A)

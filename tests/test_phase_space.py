@@ -5,7 +5,8 @@ from liedeform import cohomology, phase_space
 from liedeform.algebra import _transpose_residual, abelian, heisenberg, se2, sl2r, so3
 from liedeform.cohomology import cocycle_residual, delta1_scalar, solve_primitive
 from liedeform.dynamics import InertiaTensor, hamiltonian_vector_field
-from liedeform.errors import DegenerateForm, NotACocycle, NotAntisymmetric, NotExact
+from liedeform.errors import (DegenerateForm, LieDeformError, NotACocycle, NotAntisymmetric,
+                              NotExact)
 from liedeform.phase_space import (RANK_TOL, DeformedStructure, decide_grid, degeneracy,
                                    lie_poisson_block, load_deformation, omega_matrix,
                                    poisson_tensor)
@@ -273,6 +274,33 @@ class TestPoissonTensor:
                 assert np.array_equal(Pi, -Pi.T)
 
 
+def loop_verdicts(algebra, Theta, Upsilon, pi, rank_tol=RANK_TOL):
+    """(ranks, nullities, Poisson bytes) of each point of the broadcast stacks, or the first
+    point's (error type, message): one DeformedStructure and degeneracy per point."""
+    n = algebra.dim
+    grid = np.broadcast_shapes(Theta.shape[:-2], Upsilon.shape[:-2])
+    ranks, nullities, poisson = [], [], b""
+    try:
+        for T, U in zip(*(np.broadcast_to(A, grid + (n, n)).reshape(-1, n, n)
+                          for A in (Theta, Upsilon))):
+            report = degeneracy(DeformedStructure(algebra, T, U), pi, rank_tol)
+            ranks.append(report.rank)
+            nullities.append(report.nullity)
+            poisson += b"" if report.poisson is None else report.poisson.tobytes()
+    except LieDeformError as exc:
+        return type(exc), str(exc)
+    return ranks, nullities, poisson
+
+
+def grid_verdicts(algebra, Theta, Upsilon, pi, rank_tol=RANK_TOL):
+    """``loop_verdicts``' result from one decide_grid call."""
+    try:
+        grid = decide_grid(algebra, Theta, Upsilon, pi, rank_tol)
+    except LieDeformError as exc:
+        return type(exc), str(exc)
+    return grid.rank.tolist(), grid.nullity.tolist(), grid.poisson.tobytes()
+
+
 class TestDecideGrid:
     def test_matches_pointwise_loop(self, registry, rng):
         # the per-point loop is the reference: equal verdicts, bitwise equal tensors, also on
@@ -351,6 +379,61 @@ class TestDecideGrid:
         Theta[bad_cocycle] = 0.0
         with pytest.raises(NotAntisymmetric, match=r"Upsilon has a non-finite entry nan at \(1, 0\)"):
             decide_grid(algebra, Theta, Upsilon, np.zeros(4))
+
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 0.05, 0.06])
+    def test_broadcasts_a_column_of_theta_against_a_row_of_upsilon(self, registry, rng,
+                                                                  rank_tol):
+        # (a, 1, N, N) against (1, b, N, N): the a x b grid, row-major; Upsilon column k makes
+        # K singular at Theta row k for k = 0, 3, and nearly so for k = 1
+        seen = set()
+        for algebra in registry:
+            n = algebra.dim
+            pi = rng.normal(size=n)
+            Theta, Upsilon = TestOneNondegeneracyRule.points(algebra, rng, pi, size=5)
+            Theta, Upsilon = Theta[:, None], Upsilon[None, :4]
+            expected = loop_verdicts(algebra, Theta, Upsilon, pi, rank_tol)
+            assert grid_verdicts(algebra, Theta, Upsilon, pi, rank_tol) == expected
+            assert len(expected[1]) == 20
+            seen.update(expected[1])
+        assert seen == {0, 2}
+
+    def test_one_point_grid(self, rng):
+        algebra = so3()
+        Theta = delta1_scalar(algebra, rng.normal(size=3))
+        Upsilon = 0.3 * random_antisymmetric(rng, 3)
+        pi = rng.normal(size=3)
+        expected = loop_verdicts(algebra, Theta, Upsilon, pi)
+        assert len(expected[0]) == 1
+        assert grid_verdicts(algebra, Theta, Upsilon, pi) == expected
+        grid = decide_grid(algebra, Theta, Upsilon, pi)
+        assert grid.rank.shape == grid.nullity.shape == (1,)
+
+    @pytest.mark.parametrize("theta_size, upsilon_size", [(0, 3), (2, 0)])
+    def test_empty_axis(self, theta_size, upsilon_size):
+        # the other stack is not admitted on an empty grid: its failing matrix raises nothing
+        from test_cohomology import so3_plus_center
+        algebra = so3_plus_center()
+        Theta, Upsilon = np.zeros((theta_size, 1, 4, 4)), np.zeros((1, upsilon_size, 4, 4))
+        Theta[1:, 0, 2, 3], Upsilon[0, 1:, 0, 1] = 0.25, 1.0  # a non-cocycle, an asymmetric one
+        assert grid_verdicts(algebra, Theta, Upsilon, np.ones(4)) == loop_verdicts(
+            algebra, Theta, Upsilon, np.ones(4)) == ([], [], b"")
+        assert decide_grid(algebra, Theta, Upsilon, np.ones(4)).poisson.shape == (0, 8, 8)
+
+    def test_first_failing_grid_point_is_not_the_first_failing_row(self):
+        # Upsilon along the first axis, Theta along the second: Upsilon row 1 and Theta row 1
+        # both fail, but grid point 1 pairs Upsilon row 0 with Theta row 1, whose error wins
+        from test_cohomology import so3_plus_center
+        algebra = so3_plus_center()
+        Theta, Upsilon = np.zeros((1, 2, 4, 4)), np.zeros((2, 1, 4, 4))
+        Theta[0, 1, 2, 3], Theta[0, 1, 3, 2] = 0.25, -0.25
+        Upsilon[1, 0, 0, 1] = 1.0
+        expected = loop_verdicts(algebra, Theta, Upsilon, np.zeros(4))
+        assert expected[0] is NotACocycle
+        assert grid_verdicts(algebra, Theta, Upsilon, np.zeros(4)) == expected
+        # row by row, the pair (Theta row 1, Upsilon row 1) fails antisymmetry first
+        with pytest.raises(NotAntisymmetric):
+            decide_grid(algebra, Theta[0], Upsilon[:, 0], np.zeros(4))
 
 
 class TestOneNondegeneracyRule:

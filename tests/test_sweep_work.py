@@ -1,7 +1,8 @@
 """The factored sweep: each matrix admitted once, the SVD only where the certificate cannot decide.
 
 ``liedeform sweep`` builds Theta once per point of the theta and xi axes' own grid and Upsilon
-once per point of the upsilon axes' grid, admits each row once, and lets the certificate
+once per point of the upsilon axes' grid, as stacks with a size-1 dimension on every other axis
+that broadcast to the grid; it admits each matrix of a stack once, and lets the certificate
 ||C Upsilon||_F^2 <= 0.81 decide a point without an SVD wherever 1.9 rank_tol < 0.1.  The
 property test compares its bytes, exit code and stderr with the full-grid construction the
 factoring replaced; the work counts pin how much of that work is left.
