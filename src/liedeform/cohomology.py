@@ -68,19 +68,19 @@ def delta2(algebra: LieAlgebra, Theta) -> np.ndarray:
     first point that fails raises ``_reject_asymmetric``'s error, as in ``_admit``.
     """
     Theta = np.asarray(Theta, float)
-    residual, bound = _transpose_residual(Theta)
-    failing = ~(residual <= bound)
-    if failing.any():
-        g = np.unravel_index(failing.argmax(), failing.shape)
-        _reject_asymmetric("Theta", Theta[g], residual[g], bound[g])
+    _reject_asymmetric("Theta", Theta)
     return _delta2(algebra, Theta)
 
 
-def _reject_asymmetric(name: str, A: np.ndarray, residual, bound):
-    """Raise NotAntisymmetric for a matrix A that failed antisymmetry by ``residual > bound``:
-    naming its first non-finite entry if it has one, else the residual and the bound."""
-    _require_finite(name, A, NotAntisymmetric)
-    raise NotAntisymmetric(f"{name} fails antisymmetry: residual {residual:.3e} > {bound:.3e}")
+def _reject_asymmetric(name: str, A: np.ndarray):
+    """Raise NotAntisymmetric at the first matrix of the (..., N, N) stack A that fails
+    antisymmetry: naming its first non-finite entry if it has one, else its residual and bound."""
+    residual, bound = _transpose_residual(A)
+    if not (residual <= bound).all():  # NaN fails the comparison
+        g = np.unravel_index(np.argmin(residual <= bound), np.shape(residual))
+        _require_finite(name, A[g], NotAntisymmetric)
+        raise NotAntisymmetric(f"{name} fails antisymmetry: residual {residual[g]:.3e} > "
+                               f"{bound[g]:.3e}")
 
 
 def _delta2(algebra: LieAlgebra, Theta: np.ndarray) -> np.ndarray:
@@ -96,34 +96,36 @@ def cocycle_residual(algebra: LieAlgebra, Theta):
 
 
 def _admit(algebra: LieAlgebra, Theta: np.ndarray, Upsilon: np.ndarray):
-    """Admit (G, N, N) stacks of Theta and Upsilon; the first failing point raises its own error.
+    """Admit (..., N, N) stacks of Theta and Upsilon that broadcast, checking each matrix once.
 
     The one admission rule: DeformedStructure, decide_grid and solve_primitive (the last
-    with Upsilon = 0) all apply it.  Returns each point's cocycle_residual.
+    with Upsilon = 0) all apply it.  The first failing point of the broadcast stack, in
+    row-major order, raises its own error: Theta's antisymmetry, then Upsilon's, then the
+    cocycle condition.  Returns each Theta's cocycle_residual.
     """
     n = algebra.dim
     for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
-            raise NotAntisymmetric(f"{name} must be square, got shape {A.shape[1:]}")
-    if Theta.shape[1:] != (n, n) or Upsilon.shape[1:] != (n, n):
+        if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+            raise NotAntisymmetric(f"{name} must be square, got shape {A.shape[-2:]}")
+    if Theta.shape[-2:] != (n, n) or Upsilon.shape[-2:] != (n, n):
         raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
-    pair = np.array((Theta, Upsilon)).swapaxes(0, 1)  # (G, 2, N, N), as np.stack but faster
-    residual, bound = _transpose_residual(pair)
-    asymmetric = ~(residual <= bound)
-    first = np.concatenate((asymmetric.any(axis=1), [True])).argmax()  # first asymmetric, or G
+    stacks = [A.reshape(-1, n, n) for A in (Theta, Upsilon)]
+    residual, bound = _transpose_residual(np.concatenate(stacks))  # cheaper than one per stack
+    asymmetric, k = ~(residual <= bound), len(stacks[0])
     with np.errstate(over="ignore", invalid="ignore"):  # near the float64 limit: NaN, rejected
-        res = np.max(np.abs(_delta2(algebra, Theta[:first])), axis=(-3, -2, -1))
-        # no admission tolerance lies below the smaller constant: only points above it can fail
-        suspect = np.flatnonzero(~(res <= min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL)))
-        tol = admission_tol(algebra, Theta[suspect]) if suspect.size else None
-    if suspect.size and not np.all(res[suspect] <= tol):
-        g = np.argmax(~(res[suspect] <= tol))
-        raise NotACocycle(f"Theta is not a two-cocycle: residual {res[suspect[g]]:.3e} > "
-                          f"{tol[g]:.3e}")
-    if first < len(Theta):
-        k = np.argmax(asymmetric[first])
-        _reject_asymmetric(("Theta", "Upsilon")[k], pair[first, k], residual[first, k],
-                           bound[first, k])
+        res = np.max(np.abs(_delta2(algebra, Theta)), axis=(-3, -2, -1))
+        # no admission tolerance lies below the smaller constant: every point at or under it passes
+        tol = min(ADMISSION_TOL_ABS, ADMISSION_TOL_REL)
+        if not (res <= tol).all():
+            tol = admission_tol(algebra, Theta)
+        failing = (asymmetric[:k].reshape(Theta.shape[:-2]) | ~(res <= tol)
+                   | asymmetric[k:].reshape(Upsilon.shape[:-2]))
+        if failing.any():  # the first failing point, in the order of the checks
+            g = np.unravel_index(failing.argmax(), failing.shape)
+            for name, A in (("Theta", Theta), ("Upsilon", Upsilon)):
+                _reject_asymmetric(name, np.broadcast_to(A, failing.shape + (n, n))[g])
+            r, t = (np.broadcast_to(x, failing.shape)[g] for x in (res, tol))
+            raise NotACocycle(f"Theta is not a two-cocycle: residual {r:.3e} > {t:.3e}")
     return res
 
 
@@ -137,7 +139,9 @@ def solve_primitive(algebra: LieAlgebra, Theta):
     primitive exists within the relative tolerance.
     """
     Theta = np.asarray(Theta, float)
-    _admit(algebra, Theta[None], np.zeros_like(Theta)[None])
+    if Theta.ndim > 2:  # one matrix, where _admit would take a stack
+        raise NotAntisymmetric(f"deformation matrices must be {algebra.dim} x {algebra.dim}")
+    _admit(algebra, Theta, np.zeros_like(Theta))
     return _primitive(algebra, Theta)
 
 

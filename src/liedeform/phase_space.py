@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _load_object, _read_only, _require_finite
 from .cohomology import _admit, _primitive, delta1_scalar
-from .errors import DegenerateForm, InvalidValue, LieDeformError, NotExact, ShapeMismatch
+from .errors import DegenerateForm, InvalidValue, NotAntisymmetric, NotExact, ShapeMismatch
 
 #: singular values of K at or below RANK_TOL * max(sigma_max(K), 1) count as zero
 RANK_TOL = 1e-10
@@ -100,7 +100,9 @@ class DeformedStructure:
         n = self.algebra.dim
         Theta = np.zeros((n, n)) if self.Theta is None else np.array(self.Theta, float)
         Upsilon = np.zeros((n, n)) if self.Upsilon is None else np.array(self.Upsilon, float)
-        object.__setattr__(self, '_residual', _admit(self.algebra, Theta[None], Upsilon[None])[0])
+        if max(Theta.ndim, Upsilon.ndim) > 2:  # one matrix each, where _admit would take a stack
+            raise NotAntisymmetric(f"deformation matrices must be {n} x {n}")
+        object.__setattr__(self, '_residual', _admit(self.algebra, Theta, Upsilon))
         for name, A in (('Theta', Theta), ('Upsilon', Upsilon), ('_eye', np.eye(n)),
                         ('_minus_f', self.algebra._minus_f), ('_minus_Theta', -Theta)):
             object.__setattr__(self, name, _read_only(A))
@@ -176,22 +178,14 @@ class GridReport:
 def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_TOL) -> GridReport:
     """Decide at momentum pi each point of (..., N, N) Theta and Upsilon stacks that broadcast.
 
-    Points in the broadcast stack's row-major order, each with the checks and bitwise results
-    of DeformedStructure, degeneracy and poisson_tensor; each stack's matrices admitted once,
-    C(pi) formed once per Theta, and no SVD where the certificate decides.
+    Points in row-major order, each with the checks, errors and bitwise results of
+    DeformedStructure, degeneracy and poisson_tensor; one ``_admit`` call checks each matrix
+    once, C(pi) is formed once per Theta, and no SVD is made where the certificate decides.
     """
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
     Theta, Upsilon = np.asarray(Theta, float), np.asarray(Upsilon, float)
-    stacks = [A.reshape((-1,) + A.shape[-2:]) for A in (Theta, Upsilon)]
-    g = max(map(len, stacks))  # matrix k of each stack, the shorter one padded with zeros
-    try:  # admission checks each matrix alone: a point passes exactly where its two matrices pass
-        _admit(algebra, *(np.concatenate((A, np.zeros((g - len(A),) + A.shape[1:])))
-                          for A in stacks))
-    except LieDeformError:  # on the grid, the first failing point raises its own error
-        grid = np.broadcast_shapes(Theta.shape[:-2], Upsilon.shape[:-2])
-        _admit(algebra, *(np.broadcast_to(A, grid + A.shape[-2:]).reshape((-1,) + A.shape[-2:])
-                          for A in (Theta, Upsilon)))
+    _admit(algebra, Theta, Upsilon)
     n = algebra.dim
     C = pi.dot(algebra._f_flat).reshape(n, n) + Theta
     r = _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified

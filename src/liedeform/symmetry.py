@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _require_finite
 from .errors import InvalidValue
 
 #: singular values below this (relative) cut count as zero in null-space extraction
@@ -42,14 +42,15 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
     """Null space of u -> (L_u Theta, L_u Upsilon[, L_u I]) with closure check."""
     n = algebra.dim
     ad = algebra._ad_basis  # ad at u = I: column i of the map is its value at e_i
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         parts = [_cocycle_derivative(ad, Theta), _momentum_form_derivative(ad, Upsilon)]
         if inertia_inv is not None:
             parts.append(_momentum_form_derivative(ad, inertia_inv))
     A = np.concatenate([part.reshape(n, -1) for part in parts], axis=1).T
+    _require_finite("the Lie-derivative matrix", A)  # where a Lie derivative overflowed
     try:
         _, s, vt = np.linalg.svd(A)
-    except np.linalg.LinAlgError as exc:  # a non-finite A, where a Lie derivative overflowed
+    except np.linalg.LinAlgError as exc:  # LAPACK's SVD of a finite A did not converge
         raise InvalidValue(f"the Lie derivatives of the deformation: {exc}") from None
     smax = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > NULLSPACE_TOL * smax))

@@ -1,4 +1,6 @@
-"""An exact oracle for the K verdict: sympy's rank of K = I + C(pi) Upsilon at dyadic points.
+"""Exact oracles for the K verdict and the admission verdict, at dyadic points.
+
+The K verdict: sympy's rank of K = I + C(pi) Upsilon.
 
 Every entry of pi, Theta and Upsilon is k / 2^j with j <= 3 and |k / 2^j| <= 2, and the
 structure constants are integers: those of each registry algebra, and of an integer unimodular
@@ -13,6 +15,12 @@ arithmetic:
   intervals of the eigenvalues sigma^2 of K^T K, refined until each is decided.
 
 A disagreement fails with its margin: the distance of the nearest sigma from the cut.
+
+The admission verdict: on so3 + R and its conjugate, where a Theta can fail the cocycle
+condition, float64 delta2 of a dyadic Theta is exact too, so DeformedStructure must admit
+exactly where sympy's delta2 Theta is zero, and decide_grid must raise at the first grid point
+whose Theta or Upsilon fails exactly.  Any failure is exact and at least 1/8: far above the
+antisymmetry bound and every admission tolerance.
 """
 import functools
 from fractions import Fraction
@@ -23,10 +31,12 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from liedeform.algebra import LieAlgebra, get_algebra
+from liedeform.errors import NotACocycle, NotAntisymmetric
 from liedeform.phase_space import (_CERTIFIED_SQ, RANK_TOL, DeformedStructure, decide_grid,
                                    degeneracy)
 
 from conftest import registry_algebras
+from test_cohomology import so3_plus_center
 
 NAMES = [a.name for a in registry_algebras()] + ["abelian4"]
 RANK_TOLS = [RANK_TOL, 0.05, 0.06]  # the certificate decides below 0.1 / 1.9 = 0.0526
@@ -204,3 +214,94 @@ def test_the_points_cover_every_side_of_every_cut():
                 split += exact_verdict(K, 0.05)[0] != exact_verdict(K, 0.06)[0]
     assert nullities == {0, 2, 4}
     assert certified >= 20 and uncertified >= 20 and split >= 1
+
+
+def exact_cocycle(algebra, Theta):
+    """Whether sympy's delta2 Theta, over QQ from the float entries, is zero."""
+    n = algebra.dim
+    T = sympy.Matrix(n, n, [sympy.Rational(Fraction(x)) for x in Theta.ravel()])
+    f = [sympy.Matrix(n, n, [sympy.Integer(int(x)) for x in fm.ravel()]) for fm in algebra.f]
+    return all(sum(-T[k, c] * f[k][a, b] + T[k, b] * f[k][a, c] - T[k, a] * f[k][b, c]
+                   for k in range(n)) == 0
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def exactly_asymmetric(A):
+    return not np.array_equal(A, -A.T)  # dyadic entries: A + A^T is exact
+
+
+@functools.cache
+def admission_case(conjugated):
+    """(algebra, Theta (12, N, N)) on so3 + R or its conjugate: dyadic antisymmetric Thetas,
+    half of them with the mixed column (so3, R) zeroed, so that cocycles and non-cocycles mix.
+    The conjugate's Thetas are P^T Theta P in its basis e'_a = P[d, a] e_d."""
+    algebra = so3_plus_center()
+    rng = np.random.default_rng(25)
+    Theta = np.array([antisymmetric(rng, 4, 16) for _ in range(12)])
+    Theta[::2, :3, 3], Theta[::2, 3, :3] = 0.0, 0.0
+    if conjugated:
+        algebra = conjugate(algebra)
+        P = (np.eye(4) + np.eye(4, k=1)) @ (np.eye(4) + np.eye(4, k=-1))
+        Theta = P.T @ Theta @ P
+    return algebra, Theta
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_admission_verdict_equals_the_exact_one(conjugated):
+    algebra, Theta = admission_case(conjugated)
+    verdicts = [exact_cocycle(algebra, T) for T in Theta]
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+    for g, (T, cocycle) in enumerate(zip(Theta, verdicts)):
+        try:
+            DeformedStructure(algebra, T)
+        except NotACocycle:
+            assert not cocycle, f"{algebra.name} Theta {g}: an exact cocycle rejected"
+        else:
+            assert cocycle, f"{algebra.name} Theta {g}: admitted, but exact delta2 is not zero"
+
+
+#: (faults, the check that the first failing point fails): "cocycle" k puts a non-cocycle at
+#: Theta row k, "Theta" k and "Upsilon" k add an exact asymmetry to that row; grid point
+#: 3 t + u pairs Theta row t with Upsilon row u
+FAULTS = [
+    ((), None),
+    ((("cocycle", 2),), "Theta is not a two-cocycle"),
+    ((("Theta", 1), ("cocycle", 2)), "Theta fails antisymmetry"),
+    ((("cocycle", 1), ("Upsilon", 2)), "Upsilon fails antisymmetry"),  # point 2 before point 3
+    ((("Upsilon", 1), ("cocycle", 0)), "Theta is not a two-cocycle"),  # point 0 before point 1
+    ((("cocycle", 0), ("Upsilon", 0)), "Upsilon fails antisymmetry"),  # antisymmetry first
+    ((("cocycle", 1), ("Theta", 1)), "Theta fails antisymmetry"),  # antisymmetry first
+    ((("Upsilon", 0), ("Theta", 0)), "Theta fails antisymmetry"),  # Theta before Upsilon
+]
+
+
+@pytest.mark.parametrize("faults, first", FAULTS)
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_broadcast_grid_raises_at_the_exact_first_failing_point(conjugated, faults, first):
+    # a (4, 1, N, N) Theta column against a (1, 3, N, N) Upsilon row
+    algebra, Thetas = admission_case(conjugated)
+    cocycles = [T for T in Thetas if exact_cocycle(algebra, T)]
+    others = [T for T in Thetas if not exact_cocycle(algebra, T)]
+    rng = np.random.default_rng(len(faults))
+    Theta = np.array(cocycles[:4])
+    Upsilon = np.array([antisymmetric(rng, 4, 8) for _ in range(3)])
+    for kind, k in faults:
+        if kind == "cocycle":
+            Theta[k] = others[k]
+        else:
+            i, j = rng.choice(4, 2, replace=False)
+            (Theta if kind == "Theta" else Upsilon)[k, i, j] += rng.integers(1, 9) / 8.0
+    for T, U in ((T, U) for T in Theta for U in Upsilon):  # grid order, exact verdicts
+        if exactly_asymmetric(T) or exactly_asymmetric(U) or not exact_cocycle(algebra, T):
+            break
+    else:
+        assert first is None
+        decide_grid(algebra, Theta[:, None], Upsilon[None], np.zeros(4))
+        return
+    error = NotAntisymmetric if exactly_asymmetric(T) or exactly_asymmetric(U) else NotACocycle
+    with pytest.raises(error) as grid:
+        decide_grid(algebra, Theta[:, None], Upsilon[None], np.zeros(4))
+    with pytest.raises(error) as point:
+        DeformedStructure(algebra, T, U)
+    assert str(grid.value) == str(point.value)
+    assert str(grid.value).startswith(first)  # the case the faults were placed to make

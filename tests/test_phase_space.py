@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from liedeform import cohomology, phase_space
 from liedeform.algebra import _transpose_residual, abelian, heisenberg, se2, sl2r, so3
@@ -12,6 +15,7 @@ from liedeform.phase_space import (RANK_TOL, DeformedStructure, decide_grid, deg
                                    poisson_tensor)
 
 from conftest import random_antisymmetric
+from test_cohomology import so3_plus_center
 
 
 def fg_structure(F, G):
@@ -113,9 +117,11 @@ class TestStructureAdmission:
         monkeypatch.setattr(cohomology, "_transpose_residual", counting)
         algebra = so3()
         DeformedStructure(algebra, delta1_scalar(algebra, [0.1, 0.2, 0.3]))
-        decide_grid(algebra, delta1_scalar(algebra, rng.normal(size=(5, 3))),
-                    np.zeros((5, 3, 3)), np.zeros(3))
-        assert calls == [(1, 2, 3, 3), (5, 2, 3, 3)]  # the (Theta, Upsilon) pair, once per call
+        decide_grid(algebra, delta1_scalar(algebra, rng.normal(size=(5, 1, 3))),
+                    np.zeros((1, 4, 3, 3)), np.zeros(3))
+        # one call per admission, on every matrix once: Theta and Upsilon, then the 5 Theta and
+        # 4 Upsilon of a 5 x 4 grid, not its 20 pairs
+        assert calls == [(2, 3, 3), (9, 3, 3)]
 
 
 class TestOmegaMatrix:
@@ -434,6 +440,47 @@ class TestDecideGrid:
         # row by row, the pair (Theta row 1, Upsilon row 1) fails antisymmetry first
         with pytest.raises(NotAntisymmetric):
             decide_grid(algebra, Theta[0], Upsilon[:, 0], np.zeros(4))
+
+
+#: what a matrix of a stack may carry: nothing, most often, or faults that admission rejects
+FAULTS = st.sampled_from([(), (), (), ("asymmetric",), ("not a cocycle",), ("non-finite",),
+                          ("not a cocycle", "asymmetric"), ("not a cocycle", "non-finite")])
+
+
+@st.composite
+def broadcast_stacks(draw):
+    """Theta and Upsilon stacks on so3 + R whose shapes broadcast; Theta a coboundary and
+    Upsilon antisymmetric, matrix by matrix, unless faults are injected: an asymmetric entry, a
+    mixed (so3, R) entry pair that breaks the cocycle condition, a non-finite entry."""
+    algebra = so3_plus_center()
+    shapes = draw(mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3,
+                                                min_side=draw(st.sampled_from([1, 1, 1, 0]))))
+    values = st.floats(-2.0, 2.0, allow_subnormal=False)
+    stacks = []
+    for shape in shapes.input_shapes:
+        A = np.zeros(shape + (4, 4))
+        for index in np.ndindex(shape):
+            A[index] = delta1_scalar(algebra, draw(st.lists(values, min_size=4, max_size=4)))
+            for fault in draw(FAULTS):
+                i, j = draw(st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3), (3, 1)]))
+                if fault == "asymmetric":
+                    A[index + (i, j)] += 0.5
+                elif fault == "not a cocycle":  # an so3 index against the central one
+                    A[index + (j % 3, 3)], A[index + (3, j % 3)] = 0.25, -0.25
+                else:
+                    A[index + (i, j)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        stacks.append(A)
+    return algebra, *stacks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=broadcast_stacks())
+def test_broadcast_admission_fails_where_the_first_point_does(case):
+    # the error of the first failing point of np.broadcast_to of both stacks, raised by
+    # DeformedStructure, or each point's verdict where every point passes
+    algebra, Theta, Upsilon = case
+    assert grid_verdicts(algebra, Theta, Upsilon, np.zeros(4)) == loop_verdicts(
+        algebra, Theta, Upsilon, np.zeros(4))
 
 
 class TestOneNondegeneracyRule:
