@@ -18,7 +18,7 @@ from .errors import InvalidInput, InvalidValue, ShapeMismatch
 #: acceptance threshold for antisymmetry / Jacobi residuals
 AXIOM_TOL = 1e-12
 
-#: relative threshold on |det B| for Cartan's semisimplicity criterion
+#: relative threshold on sigma_min(B) / sigma_max(B) for Cartan's semisimplicity criterion
 SEMISIMPLE_TOL = 1e-9
 
 #: relative bound of _transpose_residual's antisymmetry (or symmetry) check
@@ -111,8 +111,8 @@ class LieAlgebra:
     def _killing_inv(self) -> np.ndarray | None:
         """Inverse Killing form where Cartan's criterion (is_semisimple) holds, else None."""
         B = killing_form(self)
-        scale = float(np.max(np.abs(B)))
-        semisimple = scale != 0.0 and abs(np.linalg.det(B)) > SEMISIMPLE_TOL * scale ** self.dim
+        s = np.linalg.svd(B, compute_uv=False)  # descending; NaN where B is not finite
+        semisimple = s[0] > 0.0 and s[-1] > SEMISIMPLE_TOL * s[0]
         return _read_only(np.linalg.inv(B)) if semisimple else None
 
     @functools.cached_property
@@ -158,10 +158,9 @@ def killing_form(algebra: LieAlgebra) -> np.ndarray:
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
-    """Cartan's criterion: nondegenerate Killing form.
+    """Cartan's criterion: the Killing form B is nondegenerate; decided once per algebra.
 
-    Scale-relative: |det B| > SEMISIMPLE_TOL * (max |B|)^N, with an identically zero
-    Killing form always judged non-semisimple.  Decided once per algebra.
+    Scale-relative: sigma_min(B) > SEMISIMPLE_TOL * sigma_max(B) > 0, so B = 0 is not semisimple.
     """
     return algebra._killing_inv is not None
 

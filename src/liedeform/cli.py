@@ -248,22 +248,20 @@ def cmd_sweep(args, base, pi) -> int:
 
     # points in row-major order (last axis fastest): Theta varies along the theta and xi axes,
     # Upsilon along the upsilon axes, each of size 1 on the others; each axis value's text once
+    grid = np.meshgrid(*[values for *_, values in axes], indexing="ij", sparse=True)
     stacks = []
     for A, kinds in ((base.Theta, ("theta", "xi")), (base.Upsilon, ("upsilon",))):
-        own = [axis for axis in axes if axis[0] in kinds]
-        columns = [g.ravel() for g in np.meshgrid(*[values for *_, values in own], indexing="ij")]
         sub = [len(values) if kind in kinds else 1 for kind, _, values in axes]
-        A = np.repeat(A[None], int(np.prod(sub)), axis=0)
-        xi = np.zeros((len(A), n))
-        for (kind, indices, _), column in zip(own, columns):
-            if kind == "xi":
-                xi[:, indices[0]] = column
-            else:
+        A, xi = np.broadcast_to(A, sub + [n, n]).copy(), np.zeros(sub + [n])
+        for (kind, indices, _), along in zip(axes, grid):  # each axis's values along its dimension
+            if kind == "xi" and kind in kinds:
+                xi[..., indices[0]] = along
+            elif kind in kinds:
                 i, j = indices
-                A[:, i, j], A[:, j, i] = column, -column
-        if any(kind == "xi" for kind, _, _ in own):
+                A[..., i, j], A[..., j, i] = along, -along
+        if "xi" in kinds and any(kind == "xi" for kind, _, _ in axes):
             A = A + delta1_scalar(algebra, xi)
-        stacks.append(A.reshape(sub + [n, n]))
+        stacks.append(A)
     report = decide_grid(algebra, *stacks, pi, rank_tol=args.rank_tol)
 
     # the two Poisson cells as one string: both empty where degenerate, and everywhere if N < 2

@@ -28,11 +28,6 @@ ADMISSION_TOL_REL = 1e-9
 #: relative exactness threshold in solve_primitive
 EXACTNESS_TOL = 1e-9
 
-# np.linalg.lstsq's LAPACK gufunc (gelsd), without the wrapper that takes half of _primitive's
-# time.  Called as the wrapper calls it, so with its bytes: float64 loop, rcond eps * max(m, n),
-# its error state and handler, and xi zeroed at m = 0 pairs, where the gufunc leaves it unset.
-_lstsq = np.linalg._umath_linalg.lstsq
-
 
 def admission_tol(algebra: LieAlgebra, Theta):
     """Cocycle admission tolerance, absolute on integer-valued data, else relative; one per point."""
@@ -146,12 +141,9 @@ def solve_primitive(algebra: LieAlgebra, Theta):
 
 
 def _primitive(algebra: LieAlgebra, Theta: np.ndarray):
-    """solve_primitive of a float Theta already admitted as a cocycle, as DeformedStructure's is."""
+    """solve_primitive, by np.linalg.lstsq, of a float Theta already admitted as a cocycle."""
     a, b = _pair_index(algebra.dim)
-    A = algebra._coboundary
-    with np.errstate(call=np.linalg._linalg._raise_linalgerror_lstsq, all="ignore", invalid="call"):
-        xi, _, rank, _ = _lstsq(A, Theta[a, b, None], np.finfo(float).eps * max(A.shape))
-    xi = xi[:, 0] if len(A) else np.zeros(algebra.dim)  # m = 0 pairs: what the wrapper returns
+    xi, _, rank, _ = np.linalg.lstsq(algebra._coboundary, Theta[a, b], rcond=None)
     residual = float(np.abs(Theta - delta1_scalar(algebra, xi)).max(initial=0.0))
     scale = float(np.abs(Theta).max(initial=0.0))
     if residual > EXACTNESS_TOL * scale:

@@ -10,6 +10,7 @@ from liedeform.algebra import (LieAlgebra, _expm, abelian, ad_matrix, get_algebr
                                heisenberg, is_semisimple, killing_form, load_algebra,
                                se2, sl2r, so3, validate_algebra)
 from liedeform.errors import InvalidInput, LieDeformError, ShapeMismatch
+from conftest import sheared
 
 
 class TestValidation:
@@ -89,6 +90,18 @@ class TestSemisimplicity:
         assert not is_semisimple(heisenberg())
         assert not is_semisimple(abelian(2))
         assert not is_semisimple(se2())
+
+    @pytest.mark.parametrize("name, t", [("sl2r", 30), ("so3", 100)])
+    def test_a_sheared_basis_stays_semisimple(self, name, t):
+        # sigma_min / sigma_max of B is 1.8e-5 and 1.0e-8 here; |det B| / max|B|^3, which the
+        # criterion read before, is 3.4e-10 and 1.0e-12
+        algebra = sheared(get_algebra(name), t)
+        assert np.array_equal(algebra.f, np.round(algebra.f))
+        assert is_semisimple(algebra)
+
+    def test_a_killing_form_near_the_float64_limit(self):
+        # B = -2e306 I: max|B|^3 overflows a float, which raised before the singular values
+        assert is_semisimple(LieAlgebra("so3", 1e153 * so3().f))
 
 
 class TestAdjoint:

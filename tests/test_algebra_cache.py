@@ -42,8 +42,8 @@ def fresh_constants(algebra):
     """(verdict, inverse Killing form or None, ad stack) of an uncached copy, by the formulas."""
     fresh = LieAlgebra.from_structure_constants(algebra.name, algebra.f)
     B = killing_form(fresh)
-    scale = float(np.max(np.abs(B)))
-    semisimple = scale != 0.0 and abs(np.linalg.det(B)) > SEMISIMPLE_TOL * scale ** fresh.dim
+    s = np.linalg.svd(B, compute_uv=False)
+    semisimple = s[0] > 0.0 and s[-1] > SEMISIMPLE_TOL * s[0]
     return (bool(semisimple), np.linalg.inv(B) if semisimple else None,
             ad_matrix(fresh, np.eye(fresh.dim)))
 

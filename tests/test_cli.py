@@ -15,6 +15,7 @@ from liedeform.algebra import get_algebra, load_algebra, so3
 from liedeform import cli, cohomology, phase_space
 from liedeform.cli import main, parse_axis
 from liedeform.errors import InvalidValue, LieDeformError
+from conftest import sheared
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -305,6 +306,21 @@ class TestSimulate:
         assert rows[0][:4] == ["t", "pi_0", "pi_1", "pi_2"]
         assert len(rows) == 2002  # header + 2001 samples
         assert float(rows[1][1]) == 1.0
+
+    @pytest.mark.parametrize("name, t, T, dt", [("sl2r", 30, 1.0, 0.01), ("so3", 100, 0.01, 1e-4)])
+    def test_a_sheared_basis_keeps_the_casimir_monitor(self, tmp_path, name, t, T, dt):
+        # an integer basis in which the old det criterion judged the algebra not semisimple
+        algebra = sheared(get_algebra(name), t)
+        spec, traj, summary = tmp_path / "sheared.json", tmp_path / "t.csv", tmp_path / "s.json"
+        spec.write_text(json.dumps({"name": algebra.name, "dim": 3, "f": algebra.f.tolist()}))
+        assert run(["simulate", "--algebra", spec, "--inertia", "identity",
+                    "--pi0", "0.3,0.2,0.1", "--T", T, "--dt", dt,
+                    "--output", traj, "--summary", summary]) == 0
+        with open(traj) as fh:
+            casimir = [float(row["casimir"]) for row in csv.DictReader(fh)]
+        # RK4's own drift in that basis (sl2r: 4.3e-5, falling about 20-fold per halving of dt)
+        drift = read_json(summary)["casimir_drift"]
+        assert drift is not None and 0.0 < drift <= 1e-3 * abs(casimir[0])
 
     def test_degenerate_exit_3(self, tmp_path):
         deform = tmp_path / "fg1.json"

@@ -1,9 +1,10 @@
 """The semisimplicity verdict and the inverse Killing form have one owner: ``algebra``.
 
-``LieAlgebra._killing_inv`` decides Cartan's criterion and inverts the Killing form once per
-algebra; ``is_semisimple`` and ``dynamics._casimir_monitor`` read it.  ``killing_form``, and
-the ``np.linalg.det`` and ``np.linalg.inv`` of it, are called only there.  A second copy
-could decide or invert differently from the first, and would pay again for each call.
+``LieAlgebra._killing_inv`` decides Cartan's criterion from the singular values of the Killing
+form and inverts it, once per algebra; ``is_semisimple`` and ``dynamics._casimir_monitor`` read
+it.  ``killing_form`` is called only there, and so are algebra.py's one ``np.linalg.svd`` and
+one ``np.linalg.inv``.  A second copy could decide or invert differently from the first, and
+would pay again for each call.
 """
 import ast
 
@@ -11,7 +12,7 @@ from test_admission_owner import called_name, parsed_sources
 
 #: function -> the (file under src/, enclosing function) pairs that may call it
 OWNER = {("liedeform/algebra.py", "_killing_inv")}
-CALLERS = {"killing_form": OWNER, "det": OWNER}
+CALLERS = {"killing_form": OWNER}
 
 
 def calls_by_function():
@@ -24,7 +25,7 @@ def calls_by_function():
                         yield name, function.name, called_name(node), node.lineno
 
 
-def test_killing_form_and_its_det_are_called_only_by_the_owner():
+def test_killing_form_is_called_only_by_the_owner():
     seen = set()
     for name, function, called, line in calls_by_function():
         if called in CALLERS:
@@ -34,10 +35,11 @@ def test_killing_form_and_its_det_are_called_only_by_the_owner():
 
 
 def test_algebra_inverts_only_the_killing_form():
-    inverses = {(function, line) for name, function, called, line in calls_by_function()
-                if called == "inv" and name == "liedeform/algebra.py"}
-    assert {function for function, _ in inverses} == {"_killing_inv"}
-    assert len(inverses) == 1
+    for decomposition in ("inv", "svd"):  # the inverse, and the singular values of the verdict
+        calls = {(function, line) for name, function, called, line in calls_by_function()
+                 if called == decomposition and name == "liedeform/algebra.py"}
+        assert {function for function, _ in calls} == {"_killing_inv"}, decomposition
+        assert len(calls) == 1, decomposition
 
 
 def test_readers_do_not_recompute():
@@ -49,4 +51,4 @@ def test_readers_do_not_recompute():
         attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         calls = {called_name(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
         assert "_killing_inv" in attributes or "is_semisimple" in calls, function
-        assert not calls & {"killing_form", "det", "inv"}, function
+        assert not calls & {"killing_form", "svd", "det", "inv"}, function

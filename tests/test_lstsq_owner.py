@@ -1,9 +1,9 @@
-"""Least squares has one caller: ``cohomology._primitive``.
+"""Least squares has one call: ``np.linalg.lstsq`` in ``cohomology._primitive``.
 
 ``_primitive`` solves for Theta's primitive on the algebra's cached coboundary matrix with
-LAPACK's ``lstsq`` gufunc, called as ``np.linalg.lstsq`` calls it: the same rcond, the same
-zeroing at m = 0 pairs and the same error state.  A second least-squares call, NumPy's wrapper
-or the gufunc, could drift from the first on any of those, and would pay the wrapper again.
+NumPy's public wrapper at its default rcond, and nothing binds a least-squares routine to a
+name of its own.  A second call could drift from the first in rcond or in how it treats an
+algebra without pairs, and a binding of LAPACK's gufunc would rest on a private NumPy name.
 """
 import ast
 
@@ -12,8 +12,6 @@ import pytest
 from test_admission_owner import parsed_sources
 
 OWNER = ("liedeform/cohomology.py", "_primitive")
-#: the one binding of the gufunc, a module-level assignment in cohomology.py
-BINDING = ("liedeform/cohomology.py", "_lstsq")
 
 
 def names_lstsq(node) -> bool:
@@ -40,18 +38,14 @@ def references():
 
 
 def test_least_squares_is_called_only_by_primitive():
-    calls, bindings = [], []
+    calls = []
     for name, top, owner, node in references():
-        if (name, owner) == OWNER:
-            calls += [n for n in ast.walk(top) if isinstance(n, ast.Call) and n.func is node]
-        else:
-            assert (name, owner) == BINDING and isinstance(top, ast.Assign), \
-                f"{name}:{node.lineno} names {ast.unparse(node)}"
-            bindings.append(top)
-    # the check reads what it is about: one binding statement, and _primitive calls it
-    assert len({id(top) for top in bindings}) == 1
-    assert ast.unparse(bindings[0]) == "_lstsq = np.linalg._umath_linalg.lstsq"
-    assert [ast.unparse(call.func) for call in calls] == [BINDING[1]]
+        assert (name, owner) == OWNER, f"{name}:{node.lineno} names {ast.unparse(node)}"
+        calls += [n for n in ast.walk(top) if isinstance(n, ast.Call) and n.func is node]
+    # the check reads what it is about: every reference is the one call, by the public wrapper
+    assert [ast.unparse(call.func) for call in calls] == ["np.linalg.lstsq"]
+    assert [ast.unparse(kw) for kw in calls[0].keywords] == ["rcond=None"]
+    assert len(list(references())) == 1
 
 
 @pytest.mark.parametrize("source, expected", [

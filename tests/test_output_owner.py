@@ -6,25 +6,14 @@ costs several times the write, and would not share the writer's handling of FIFO
 devices or of an error partway through.
 """
 import ast
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from test_admission_owner import called_name, parsed_sources
+
 WRITER = ("liedeform/cli.py", "_overwritten")
 #: modules whose open/fdopen take the path or descriptor first and the mode second
 MODULES = ("os", "io", "builtins", "codecs")
-
-
-def parsed_sources():
-    for path in sorted(SRC.rglob("*.py")):
-        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(), filename=str(path))
-
-
-def called_name(call: ast.Call):
-    """f of ``f(...)`` or ``module.f(...)``."""
-    func = call.func
-    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def writes(node) -> bool:

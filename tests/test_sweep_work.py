@@ -155,6 +155,14 @@ def check_against_reference(workdir, name, deformation, argv):
                                   "--rank-tol", "0.05"]))
 @example(case=("abelian2", None, ["--axis", "theta:0,1=0:2:9", "--axis", "upsilon:0,1=0:2:9",
                                   "--rank-tol", "0.5"]))
+# a theta axis and an xi axis that both move Theta[0, 1]: delta1 of xi_2 e^2 is -xi_2 there
+@example(case=("so3", None, ["--axis", "theta:0,1=-1:1:3", "--axis", "xi:2=-2:2:4"]))
+# an xi axis whose only value is 0: delta1(0) is still added, with its signed zeros
+@example(case=("so3", {"xi": [0.5, -1.0, 2.0]}, ["--axis", "xi:1=0:0:1",
+                                                   "--axis", "theta:0,2=0:0:1"]))
+# one axis of each kind, the upsilon axis first: Theta's stack has size 1 on its dimension
+@example(case=("sl2r", None, ["--axis", "upsilon:0,2=-1:1:3", "--axis", "xi:1=-1:1:2",
+                              "--axis", "theta:0,1=0:2:3", "--pi0=0.5,-1,2"]))
 def test_factored_sweep_equals_full_grid(workdir, case):
     check_against_reference(workdir, *case)
 
