@@ -1,9 +1,10 @@
 """Command-line front end: validate / cohomology / omega / isotropy / simulate / sweep.
 
-Structured reports go out as JSON, trajectories and sweeps as CSV.  JSON
-floats are shortest round-trip reprs.  A CSV file is a header, then one row per
-time or grid point: cells separated by commas and never quoted, lines ending in
-"\\r\\n", floats with 17 significant digits, so files round-trip bit-faithfully.
+Structured reports go out as JSON, trajectories and sweeps as CSV, each written as text over
+the old file in one os.write per report or per block of rows.  JSON floats are shortest
+round-trip reprs.  A CSV file is a header, then one row per time or grid point: cells separated
+by commas and never quoted, lines ending in "\\r\\n", floats with 17 significant digits, so
+files round-trip bit-faithfully.
 Both Poisson cells of a sweep row are empty where the form is degenerate, and on
 every row when N < 2.  Exit codes: 0 success, 2 validation failure or an input too large
 to allocate, 3 degenerate-form abort; exit 1 with a traceback is a bug.
@@ -11,7 +12,6 @@ to allocate, 3 degenerate-form abort; exit 1 with a traceback is a bug.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -20,6 +20,7 @@ import os
 import re
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,9 +48,38 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-@contextlib.contextmanager
-def _overwritten(path, newline=None):
-    """A text stream over ``path`` from offset 0; a regular file is then cut to what was written.
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)`` (str
+    keys) without the pure-Python encoder ``indent`` selects; ``pad`` opens a line at this level."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(isinstance(item, float) for item in value):  # a row of floats, joined at once
+            text = ("," + inner).join(map(float.__repr__, value))
+            if "n" not in text:  # else a nan, inf or -inf, which the float branch rejects
+                return "[" + inner + text + pad + "]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        if "n" in text:  # nan, inf and -inf; the repr of a finite float has no letter n
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return text
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (str, int)) or value is None:  # bool is an int
+        return json.dumps(value)
+    return _json_text(_jsonable(value), pad)
+
+
+def _overwrite(path, chunks):
+    """The text chunks over ``path`` from offset 0, one os.write each; a longer regular file is cut.
 
     Opened without O_TRUNC: on ext4, a rewrite that first truncates the file to zero takes about
     twice as long, also when the file was last written minutes before.  Bytes, inode,
@@ -59,15 +89,20 @@ def _overwritten(path, newline=None):
     loss before writeback (about 30 s) can leave old and new blocks mixed within the new length,
     where ext4 flushed a file truncated to zero on close and left the new file or an empty one.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+    fd, written = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), 0
+    try:
+        for chunk in chunks:
+            data = chunk.encode()  # every output is ASCII
+            while data:  # a write may take part of its bytes
+                done = os.write(fd, data)
+                written, data = written + done, data[done:]
+    finally:  # a failed write (ENOSPC, EFBIG) or chunk still cuts the old tail off the prefix
         try:
-            yield fh
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > written:
+                os.ftruncate(fd, written)
         finally:
-            try:
-                fh.flush()
-            finally:  # a failed flush (ENOSPC, EFBIG) still cuts the old tail off the prefix
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+            os.close(fd)
 
 
 #: rows per write: the Python floats and text of a file are held one block at a time
@@ -75,21 +110,21 @@ _CSV_BLOCK = 1024
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray], row_format: str):
-    """Write the header, then row k as ``row_format % (entry k of each column)``."""
-    with _overwritten(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
+    """The header, then row k as ``row_format % (entry k of each column)``; one write a block."""
+    def blocks():
+        text = ",".join(header) + "\r\n"  # with the first block, or alone where there is none
+        for start in range(0, len(columns[0]), _CSV_BLOCK) or [0]:
             block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
-            fh.write("".join([row_format % row for row in zip(*block)]))
+            yield text + "".join([row_format % row for row in zip(*block)])
+            text = ""
+    _overwrite(path, blocks())
 
 
 def emit_report(report: dict, payload, output: str | None):
     """Write the report with the hash of the run's resolved inputs and the version added."""
-    text = json.dumps({**report, "input_hash": input_hash(payload), "version": __version__},
-                      indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
+    text = _json_text({**report, "input_hash": input_hash(payload), "version": __version__})
     if output:
-        with _overwritten(output) as fh:
-            fh.write(text + "\n")
+        _overwrite(output, [text + "\n"])
     else:
         print(text)
 

@@ -49,7 +49,7 @@ def isotropy_subalgebra(algebra: LieAlgebra, Theta, Upsilon,
     A = np.concatenate([part.reshape(n, -1) for part in parts], axis=1).T
     _require_finite("the Lie-derivative matrix", A)  # where a Lie derivative overflowed
     try:
-        _, s, vt = np.linalg.svd(A)
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # LAPACK's SVD of a finite A did not converge
         raise InvalidValue(f"the Lie derivatives of the deformation: {exc}") from None
     smax = s[0] if s.size and s[0] > 0 else 1.0

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import liedeform
 from liedeform.algebra import get_algebra, load_algebra, so3
@@ -232,7 +235,8 @@ class TestOmega:
         assert run(["omega", "--algebra", alg, "--deformation", deform]) == 2
 
     def test_one_nondegeneracy_decision_per_report(self, monkeypatch, tmp_path):
-        # the Poisson tensor of a nondegenerate point is not decided a second time
+        # none where the certificate decides (C Upsilon = 0), one where it cannot (C Upsilon = -I),
+        # and the Poisson tensor of a nondegenerate point is not decided a second time
         calls = []
         nullity_rule = phase_space._nullity
 
@@ -244,13 +248,14 @@ class TestOmega:
         deform, out = tmp_path / "fg1.json", tmp_path / "report.json"
         deform.write_text(json.dumps({"Theta": [[0.0, 1.0], [-1.0, 0.0]],
                                       "Upsilon": [[0.0, 1.0], [-1.0, 0.0]], "xi": None}))
-        for argv, nullity in ((["--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0,0"], 0),
-                              (["--algebra", "so3"], 0),
-                              (["--algebra", "abelian2", "--deformation", deform], 2)):
+        for argv, nullity, decisions in (
+                (["--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0,0"], 0, 0),
+                (["--algebra", "so3"], 0, 0),
+                (["--algebra", "abelian2", "--deformation", deform], 2, 1)):
             calls.clear()
             assert run(["omega", *argv, "-o", out]) == 0
             assert read_json(out)["nullity"] == nullity
-            assert len(calls) == 1
+            assert len(calls) == decisions
 
     def test_darboux_shift_does_not_readmit_theta(self, monkeypatch, tmp_path):
         calls = count_delta2(monkeypatch)
@@ -1024,6 +1029,43 @@ class TestReportRoundTrip:
         assert len(report["darboux_xi"]) == 3
 
 
+def dumps(value) -> str:
+    """The report text json.dumps gives, which cli._json_text reproduces."""
+    return json.dumps(value, indent=2, sort_keys=True, default=cli._jsonable, allow_nan=False)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308])
+ARRAYS = hnp.arrays(np.float64, st.sampled_from([(0,), (3, 0), (2, 2), (3,)]), elements=FLOATS)
+LEAVES = (FLOATS | FLOATS.map(np.float64) | st.booleans() | st.none() | st.integers()
+          | st.text() | ARRAYS | st.lists(FLOATS))
+
+
+class TestReportText:
+    @settings(max_examples=150, deadline=None)
+    @given(st.recursive(LEAVES, lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+                        | st.dictionaries(st.text(), inner), max_leaves=20))
+    @example([-0.0, 5e-324, 1.7976931348623157e308, 1.0, 2])
+    @example({"\u00e9t\u00e9": ["\u2202\u03c0", True, None, {}, [], ()], "a": np.zeros((3, 0))})
+    def test_the_bytes_of_json_dumps(self, value):
+        assert cli._json_text(value) == dumps(value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1.0, x], lambda x: [1, x],
+                                      lambda x: {"a": np.array([[0.0, x]])}],
+                             ids=["scalar", "row", "mixed-row", "array"])
+    def test_non_finite_float_raises_value_error(self, bad, wrap):
+        for encode in (dumps, cli._json_text):
+            with pytest.raises(ValueError, match="^Out of range float values are not JSON"):
+                encode(wrap(bad))
+
+    @pytest.mark.parametrize("value", [np.int64(3), [1.0, np.int64(3)], {"a": np.float32(1)}])
+    def test_numpy_scalar_that_is_not_a_float_raises_type_error(self, value):
+        for encode in (dumps, cli._json_text):
+            with pytest.raises(TypeError, match="is not JSON serializable$"):
+                encode(value)
+
+
 OMEGA = ["omega", "--algebra", "so3", "--xi", "0,0,1", "--pi", "1,0.5,0"]
 SWEEP_41 = ["sweep", "--algebra", "abelian2",
             "--axis", "theta:0,1=0:2:41", "--axis", "upsilon:0,1=0:2:41"]
@@ -1094,9 +1136,29 @@ class TestOverwrite:
         assert out.read_bytes() == b"k\r\n" + b"".join(b"%d\r\n" % k
                                                       for k in range(cli._CSV_BLOCK))
 
+    @pytest.mark.parametrize("argv, writes", [
+        (OMEGA, 1), (SWEEP_41, 2),  # 41 x 41 = 1,681 rows
+        (["sweep", "--algebra", "abelian2", "--axis", "theta:0,1=0:2:0"], 1),  # the header
+        (["sweep", "--algebra", "abelian2", "--axis", "theta:0,1=0:2:1024"], 1),
+        (["sweep", "--algebra", "abelian2", "--axis", "theta:0,1=0:2:1025"], 2),
+    ], ids=["omega", "sweep", "empty-grid", "one-block", "two-blocks"])
+    def test_one_write_per_report_and_per_block_of_rows(self, monkeypatch, tmp_path, argv,
+                                                        writes):
+        out, calls = tmp_path / "out", []
+        out.write_bytes(b"other text\n" * 40_000)
+        write = os.write
+
+        def counted(fd, data):
+            calls.append(len(data))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted)
+        assert run([*argv, "-o", out]) == 0
+        assert len(calls) == writes and sum(calls) == out.stat().st_size
+
     def test_a_failed_flush_still_cuts_the_old_tail(self, tmp_path):
-        # the 770-byte report is buffered whole, so the writer's own flush is the write that
-        # fails (EFBIG past a 300-byte file size limit); what reached the file is cut all the same
+        # the 770-byte report is one os.write, which stops at a 300-byte file size limit; the
+        # next write fails (EFBIG), and what reached the file is cut all the same
         out = tmp_path / "report.json"
         out.write_bytes(b"old tail\n" * 50_000)
         done = subprocess.run([sys.executable, "-c", FILE_SIZE_LIMIT_SCRIPT, *OMEGA, "-o", out],

@@ -1,9 +1,12 @@
-"""CLI output has one writer: ``cli._overwritten``.
+"""CLI output has one writer: ``cli._overwrite``.
 
 Every report and CSV goes through it: written from offset 0 over the old file, then cut to
-length.  A second ``open(path, "w")`` would truncate the file to zero first, which on ext4
-costs several times the write, and would not share the writer's handling of FIFOs and
-devices or of an error partway through.
+length where the old file was longer.  A second ``open(path, "w")`` would truncate the file to
+zero first, which on ext4 costs several times the write, and would not share the writer's
+handling of FIFOs and devices or of an error partway through.
+
+Report text has one encoder too, ``cli._json_text``: ``json.dump``/``json.dumps`` given an
+``indent`` always run json's pure-Python encoder, the largest fixed cost of a report.
 """
 import ast
 
@@ -11,7 +14,7 @@ import pytest
 
 from test_admission_owner import called_name, parsed_sources
 
-WRITER = ("liedeform/cli.py", "_overwritten")
+WRITER = ("liedeform/cli.py", "_overwrite")
 #: modules whose open/fdopen take the path or descriptor first and the mode second
 MODULES = ("os", "io", "builtins", "codecs")
 
@@ -46,8 +49,8 @@ def test_files_are_written_only_by_the_writer():
             if writes(node):
                 assert id(node) in writer, f"{name}:{node.lineno} writes a file"
                 in_writer.append(node)
-    # the writer's os.open and open(fd, "w"): the check reads the calls it is about
-    assert len(in_writer) == 2
+    # the writer's one os.open: the check reads the call it is about
+    assert len(in_writer) == 1
 
 
 @pytest.mark.parametrize("source, opens_for_writing", [
@@ -58,3 +61,24 @@ def test_files_are_written_only_by_the_writer():
 ])
 def test_writes_reads_the_mode_where_each_call_takes_it(source, opens_for_writing):
     assert writes(ast.parse(source, mode="eval").body) == opens_for_writing
+
+
+def indented_json(node) -> bool:
+    """Whether the node is a json.dump or json.dumps call given an indent other than None."""
+    return isinstance(node, ast.Call) and called_name(node) in ("dump", "dumps") and any(
+        kw.arg == "indent" and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
+        for kw in node.keywords)
+
+
+def test_no_indented_json_encoder_in_src():
+    assert [f"{name}:{node.lineno}" for name, tree in parsed_sources() for node in ast.walk(tree)
+            if indented_json(node)] == []
+
+
+@pytest.mark.parametrize("source, indented", [
+    ('json.dumps(x, indent=2, sort_keys=True)', True), ('json.dump(x, fh, indent=1)', True),
+    ('dumps(x, indent=width)', True), ('json.dumps(x, sort_keys=True)', False),
+    ('json.dumps(x, indent=None)', False), ('json.loads(s)', False),
+])
+def test_indented_json_reads_the_indent_keyword(source, indented):
+    assert indented_json(ast.parse(source, mode="eval").body) == indented
