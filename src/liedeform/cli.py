@@ -51,30 +51,21 @@ def _jsonable(obj):
 def _json_text(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)`` (str
     keys) without the pure-Python encoder ``indent`` selects; ``pad`` opens a line at this level."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        if all(isinstance(item, float) for item in value):  # a row of floats, joined at once
-            text = ("," + inner).join(map(float.__repr__, value))
-            if "n" not in text:  # else a nan, inf or -inf, which the float branch rejects
-                return "[" + inner + text + pad + "]"
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, float):
         text = float.__repr__(value)
         if "n" in text:  # nan, inf and -inf; the repr of a finite float has no letter n
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return text
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
-                 for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (str, int)) or value is None:  # bool is an int
         return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     return _json_text(_jsonable(value), pad)
 
 

@@ -18,9 +18,8 @@ extracts a kernel basis at points already decided degenerate.
 
 Certificate: if ||C Upsilon||_F <= 0.9, then ||C Upsilon||_2 <= 0.9, so by Weyl's inequality
 every singular value of K lies in [1 - 0.9, 1 + 0.9] = [0.1, 1.9] and K and M are nondegenerate.
-The vector field skips the SVD where it holds, at RANK_TOL; ``degeneracy`` and ``decide_grid``
-through ``_certified_nullity``, wherever 1.9 rank_tol < 0.1, so that the cut lies below every
-singular value of K.
+Two readers skip the SVD where it holds: the vector field, at RANK_TOL, and ``decide_grid``
+wherever 1.9 rank_tol < 0.1, so that the cut lies below every singular value of K.
 """
 from __future__ import annotations
 
@@ -51,15 +50,11 @@ def _poisson(M: np.ndarray) -> np.ndarray:
         Pi = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # LU on entries near the float64 limit can meet a zero pivot
         Pi = np.full_like(M, np.nan)
-    stack = Pi.reshape(-1, *Pi.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):  # a difference past the float64 limit
-        for start in range(0, len(stack), 1024):  # in place: one slice's transpose is copied
-            P = stack[start:start + 1024]
-            P -= P.mT.copy()
-            P *= 0.5
-    if not np.isfinite(stack).all():
+        Pi = 0.5 * (Pi - Pi.swapaxes(-1, -2))
+    if not np.isfinite(Pi).all():
         raise InvalidValue("the inverse of the two-form matrix is not finite")
-    return stack.reshape(Pi.shape)
+    return Pi
 
 
 #: ||C Upsilon||_F^2 <= this = r^2 puts every sigma(K) in [1 - r, 1 + r] = [0.1, 1.9], above
@@ -80,19 +75,6 @@ def _nullity(K: np.ndarray, rank_tol: float = RANK_TOL):
         raise InvalidValue(f"K = I + C(pi) Upsilon: {exc}") from None
     zero = (s <= np.maximum(s[..., :1], 1.0) * rank_tol).sum(-1)
     return zero + zero % 2
-
-
-def _certified_nullity(C: np.ndarray, Upsilon: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Nullity of M at each point of (..., N, N) C and Upsilon stacks that broadcast, flattened:
-    0 where the certificate decides, else ``_nullity`` of K = I + C Upsilon."""
-    n, r = C.shape[-1], _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float64 limit: not certified
-        X = (C @ Upsilon).reshape(-1, n, n)
-        svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not rank_tol * (1 + r) < 1 - r)
-    nullity = np.zeros(len(X), int)
-    if svd.any():
-        nullity[svd] = _nullity(np.eye(n) + X[svd], rank_tol)
-    return nullity
 
 
 @dataclass(frozen=True)
@@ -155,7 +137,7 @@ class DegeneracyReport:
 
 
 def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> DegeneracyReport:
-    """Rank and nullity of the two-form matrix M by ``_certified_nullity``, decided once.
+    """Rank and nullity of the two-form matrix M by ``_nullity``, decided once.
 
     Where M is degenerate the report carries a kernel basis from the SVD of M; where it
     is not, the Poisson tensor ``_poisson(M)``.  Raises InvalidValue where pi has a
@@ -164,9 +146,10 @@ def degeneracy(structure: DeformedStructure, pi, rank_tol: float = RANK_TOL) -> 
     pi = np.asarray(pi, float)
     _require_finite("pi", pi)
     n = structure.algebra.dim
-    with np.errstate(over="ignore", invalid="ignore"):  # a C past the float64 limit: bad input
+    with np.errstate(over="ignore", invalid="ignore"):  # a C or K past the float64 limit: bad input
         C = lie_poisson_block(structure, pi)
-    nullity = int(_certified_nullity(C, structure.Upsilon, rank_tol)[0])
+        K = structure._eye + C @ structure.Upsilon
+    nullity = int(_nullity(K, rank_tol))
     M = _omega_blocks(C, structure.Upsilon)
     if nullity:
         kernel, poisson = np.linalg.svd(M)[2][2 * n - nullity:].T, None
@@ -205,7 +188,12 @@ def decide_grid(algebra: LieAlgebra, Theta, Upsilon, pi, rank_tol: float = RANK_
     _admit(algebra, Theta, Upsilon)
     n = algebra.dim
     C = pi.dot(algebra._f_flat).reshape(n, n) + Theta
-    nullity = _certified_nullity(C, Upsilon, rank_tol)
+    r = _CERTIFIED_SQ ** 0.5  # sigma(K) in [1 - r, 1 + r] where certified
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float64 limit: not certified
+        X = (C @ Upsilon).reshape(-1, n, n)
+        svd = ~(np.einsum('gij,gij->g', X, X) <= _CERTIFIED_SQ) | (not rank_tol * (1 + r) < 1 - r)
+    nullity = np.zeros(len(X), int)
+    nullity[svd] = _nullity(np.eye(n) + X[svd], rank_tol)
     return GridReport(rank=2 * n - nullity, nullity=nullity, poisson=_poisson(
         _omega_blocks(C, Upsilon).reshape(-1, 2 * n, 2 * n)[nullity == 0]))
 
